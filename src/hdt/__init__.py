@@ -19,7 +19,7 @@ from .criterion import (
     parse_decimal,
     reduction_trace,
 )
-from .exact import Rational, SingularMatrixError, rational_arith, solve_linear
+from .exact import SingularMatrixError, solve_linear
 from .hermitian import (
     HermitianPair,
     RootPartition,
@@ -37,7 +37,7 @@ from .integral import (
     empirical_threshold,
     integrate,
 )
-from .rootsystem import CartanType, RootSystem, StructuralError, build_root_system, cartan_integer
+from .rootsystem import CartanType, RootSystem, StructuralError, build_root_system
 from .weights import (
     KssWeightSystem,
     compact_fundamental_weights,

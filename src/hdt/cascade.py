@@ -15,8 +15,6 @@ from functools import lru_cache
 from .hermitian import HermitianPair, partition_roots
 from .rootsystem import Root, StructuralError
 
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class CascadeResult:
@@ -85,10 +83,11 @@ def restricted_coefficients(cr: CascadeResult, alpha: Root) -> tuple[Fraction, .
     """Coordinates of the restriction of alpha in the basis {gamma_j}.
 
     Strong orthogonality makes the gammas mutually orthogonal, so this is the
-    orthogonal projection: c_j = (alpha|gamma_j) / (gamma_j|gamma_j).
+    orthogonal projection: c_j = (alpha|gamma_j) / (gamma_j|gamma_j), which
+    is half the integer alpha(h_j).
     """
     rs = cr.pair.root_system
-    return tuple(rs.inner(alpha, g) / rs.norm_sq(g) for g in cr.gammas)
+    return tuple(Fraction(rs.coroot_pairing(alpha, g), 2) for g in cr.gammas)
 
 
 @lru_cache(maxsize=None)
@@ -103,6 +102,7 @@ def restricted_root_data(pair: HermitianPair) -> RestrictedData:
     """
     cr = strongly_orthogonal_cascade(pair)
     part = partition_roots(pair)
+    rs = pair.root_system
     r = cr.r
 
     full: dict[int, int] = {}
@@ -113,19 +113,20 @@ def restricted_root_data(pair: HermitianPair) -> RestrictedData:
     zero_compact = 0
 
     def pattern(alpha: Root):
-        c = restricted_coefficients(cr, alpha)
+        # c_j = alpha(h_j), twice the restricted coefficient
+        c = tuple(rs.coroot_pairing(alpha, g) for g in cr.gammas)
         support = [(j, cj) for j, cj in enumerate(c) if cj != 0]
         if not support:
             return ("zero",)
         if len(support) == 1:
             j, cj = support[0]
-            if cj == 1:
+            if cj == 2:
                 return ("full", j)
-            if abs(cj) == HALF:
-                return ("half", j, 1 if cj > 0 else -1)
+            if abs(cj) == 1:
+                return ("half", j, cj)
         elif len(support) == 2:
             (j, cj), (k, ck) = support
-            if abs(cj) == HALF and abs(ck) == HALF:
+            if abs(cj) == 1 and abs(ck) == 1:
                 if cj > 0 and ck > 0:
                     return ("pair_sum", j, k)
                 if cj * ck < 0:
@@ -199,16 +200,12 @@ class RhoReport:
     pair_label: str
     p: int
     rho_on_h_r: Fraction  # must equal p - 1
-    two_rho_n_on_h: tuple[Fraction, ...]  # must equal p for every j
+    two_rho_n_on_h: tuple[int, ...]  # must equal p for every j
 
 
-def half_sum(rs, roots) -> tuple[Fraction, ...]:
-    n = rs.rank
-    tot = [Fraction(0)] * n
-    for root in roots:
-        for i, c in enumerate(root):
-            tot[i] += c
-    return tuple(t / 2 for t in tot)
+def root_sum(rs, roots) -> Root:
+    """Sum of roots in simple-root coordinates, e.g. 2 rho from the positive roots."""
+    return tuple(sum(root[i] for root in roots) for i in range(rs.rank))
 
 
 def verify_rho_identities(pair: HermitianPair) -> RhoReport:
@@ -221,13 +218,11 @@ def verify_rho_identities(pair: HermitianPair) -> RhoReport:
     cr = strongly_orthogonal_cascade(pair)
     rd = restricted_root_data(pair)
 
-    rho = half_sum(rs, rs.positive_roots)
-    rho_n = half_sum(rs, part.noncompact_pos)
-
-    rho_hr = rs.coroot_pairing(rho, cr.gammas[-1])
+    rho_hr = Fraction(rs.coroot_pairing(root_sum(rs, rs.positive_roots), cr.gammas[-1]), 2)
     if rho_hr != rd.p - 1:
         raise StructuralError(f"{pair.name}: rho(h_r) = {rho_hr} != p - 1 = {rd.p - 1}")
-    two_rho_n = tuple(2 * rs.coroot_pairing(rho_n, g) for g in cr.gammas)
+    sum_n = root_sum(rs, part.noncompact_pos)
+    two_rho_n = tuple(rs.coroot_pairing(sum_n, g) for g in cr.gammas)
     for j, v in enumerate(two_rho_n):
         if v != rd.p:
             raise StructuralError(f"{pair.name}: 2 rho_n(h_{j+1}) = {v} != p = {rd.p}")

@@ -215,6 +215,12 @@ def cmd_integrate(args) -> int:
         raise UsageError(f"bad eps ladder: {exc}") from exc
     if any(not 0 < e < 1 for e in ladder):
         raise UsageError("eps values must be in (0, 1)")
+    if len(ladder) < 3:
+        raise UsageError("eps ladder needs at least three values")
+    if len(set(ladder)) != len(ladder):
+        raise UsageError("eps values must be distinct")
+    if args.order < 1:
+        raise UsageError("order must be at least 1")
     ws = weight_system(pair, lam0)
     rd = restricted_root_data(pair)
     try:
@@ -338,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scope", nargs="?", choices=["exact", "numeric", "all"], default="all")
     p.add_argument("--seed", type=int, default=None, help="falls back to HDT_SEED, then 0")
     p.add_argument("--tol-scale", type=float, default=1.0,
-                   help="multiply all tolerances (use a tiny value to force failures)")
+                   help="multiply the numeric tolerances (use a tiny value to force "
+                   "failures); exact checks are true or false")
     p.add_argument("--fast", action="store_true", help="reduced sample counts")
     p.add_argument("--output", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_verify)

@@ -20,7 +20,6 @@ from .weights import (
     Weight,
     _add,
     _validate_lambda0,
-    inner_weight_root,
     lambda_one,
     rho_vectors,
     weight_on_coroot,
@@ -58,9 +57,9 @@ class HighestWeightInput:
     lam: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", tuple(Fraction(c) for c in self.lambda0))
-        object.__setattr__(self, "lam", as_exact(self.lam))
         _validate_lambda0(self.pair, self.lambda0)
+        object.__setattr__(self, "lambda0", tuple(int(c) for c in self.lambda0))
+        object.__setattr__(self, "lam", as_exact(self.lam))
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def hc_condition_original(inp: HighestWeightInput) -> OriginalFormResult:
 def hc_threshold(pair: HermitianPair, lambda0: Weight) -> Fraction:
     rd = restricted_root_data(pair)
     gamma_r = strongly_orthogonal_cascade(pair).gammas[-1]
-    return 1 - rd.p - weight_on_coroot(pair.root_system, lambda0, gamma_r)
+    return Fraction(1 - rd.p - weight_on_coroot(pair.root_system, lambda0, gamma_r))
 
 
 def hc_condition(inp: HighestWeightInput) -> CriterionVerdict:
@@ -155,7 +154,9 @@ def reduction_trace(inp: HighestWeightInput) -> tuple[TraceEntry, ...]:
     base = _add(inp.lambda0, rho)
 
     def full_pairing(v) -> Fraction:
-        return inner_weight_root(rs, base, v) + inp.lam * inner_weight_root(rs, lam1, v)
+        # (w|v) = w(h_v) (v|v) / 2
+        on_coroot = weight_on_coroot(rs, base, v) + inp.lam * weight_on_coroot(rs, lam1, v)
+        return on_coroot * rs.norm_sq(v) / 2
 
     top = full_pairing(gamma_r)
     entries = []

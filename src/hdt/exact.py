@@ -1,17 +1,17 @@
-"""Exact rational scalars, vectors and small dense matrices.
+"""Exact rational linear algebra on small dense matrices.
 
-Everything runs on Python's arbitrary-precision ``Fraction``; no rounding
-can occur anywhere in this module.  Matrices are tiny (at most the rank of
-a Lie algebra, 8), so plain Gaussian elimination with the first nonzero
-pivot is all we need.
+Root and weight pairings do not come through here: they are integer tables
+in `rootsystem`.  This module solves the few genuinely rational systems,
+such as the fundamental weights in simple-root coordinates, on Python's
+arbitrary-precision ``Fraction``; no rounding can occur anywhere in it.
+Matrices are tiny (at most the rank of a Lie algebra, 8), so plain
+Gaussian elimination with the first nonzero pivot is all we need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-Rational = Fraction
+from typing import Sequence
 
 
 class SingularMatrixError(ValueError):
@@ -28,28 +28,6 @@ def rat(x) -> Fraction:
         # exact binary value of the float, not a decimal re-reading
         return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
-
-
-def rational_vector(entries: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rat(e) for e in entries)
-
-
-def rational_arith(a, b, op: str) -> Fraction:
-    """Combine two rationals with one of add/sub/mul/div.
-
-    Division by zero raises ``ZeroDivisionError``.  Results are always in
-    lowest terms with positive denominator (a ``Fraction`` invariant).
-    """
-    a, b = rat(a), rat(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
@@ -89,13 +67,3 @@ def solve_linear(m: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
 
     return tuple(aug[r][n] / aug[r][r] for r in range(n))
 
-
-def invert_matrix(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse of a small square rational matrix (column by column)."""
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = [Fraction(0)] * n
-        e[j] = Fraction(1)
-        cols.append(solve_linear(m, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]

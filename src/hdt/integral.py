@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -34,8 +34,9 @@ from .weights import (
 
 
 class IntegralOverflowError(ArithmeticError):
-    """Intermediate values left the double range; exponents too negative
-    for the chosen truncation."""
+    """Intermediate values left the double range, or cancellation left a
+    truncated value that is not positive; exponents too negative for the
+    chosen truncation."""
 
 
 class ConfigurationError(RuntimeError):
@@ -224,14 +225,12 @@ def build_integrand(
     lam1 = lambda_one(pair)
     lam_exact = as_exact(lam)
 
-    exact_rows = []
-    for mu in ws.weights:
-        row = tuple(
-            -(weight_on_coroot(rs, mu, g) + lam_exact * weight_on_coroot(rs, lam1, g)) - rd.p
-            for g in gammas
-        )
-        exact_rows.append(row)
-    float_rows = tuple(tuple(float(e) for e in row) for row in exact_rows)
+    # E_{s,j} = shift_j - Lambda^s(h_j): the integer pairings come from the
+    # coroot table, and each distinct pairing row is made exact and float once
+    shift = [-lam_exact * weight_on_coroot(rs, lam1, g) - rd.p for g in gammas]
+    keys = [tuple(weight_on_coroot(rs, mu, g) for g in gammas) for mu in ws.weights]
+    exact_of = {k: tuple(s - m for s, m in zip(shift, k)) for k in set(keys)}
+    float_of = {k: tuple(float(e) for e in row) for k, row in exact_of.items()}
     if with_multiplicities:
         mults = tuple(freudenthal_multiplicity(ws, mu) for mu in ws.weights)
     else:
@@ -240,18 +239,11 @@ def build_integrand(
         r=rd.r,
         a=rd.a,
         b=rd.b,
-        exponents=float_rows,
-        exact_exponents=tuple(exact_rows),
+        exponents=tuple(float_of[k] for k in keys),
+        exact_exponents=tuple(exact_of[k] for k in keys),
         multiplicities=mults,
         eps=eps,
         order=order,
-    )
-
-
-def _with_eps(spec: IntegralSpec, eps: float) -> IntegralSpec:
-    return IntegralSpec(
-        spec.r, spec.a, spec.b, spec.exponents, spec.exact_exponents,
-        spec.multiplicities, eps, spec.order,
     )
 
 
@@ -309,7 +301,13 @@ def classify_convergence(
     spec = build_integrand(pair, ws, lam, order=order,
                            with_multiplicities=with_multiplicities)
     ladder = tuple(sorted(eps_ladder, reverse=True))
-    values = [integrate(_with_eps(spec, e))[0] for e in ladder]
+    values = [integrate(replace(spec, eps=e))[0] for e in ladder]
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        # cancellation in the monomial sum has eaten every significant digit
+        raise IntegralOverflowError(
+            f"quadrature lost precision at lambda = {lam}: truncated values "
+            f"{', '.join(f'{v:.3g}' for v in values)} are not all finite and positive"
+        )
 
     logs = [math.log(v) for v in values]
     xs = [math.log(1.0 / e) for e in ladder]
@@ -356,8 +354,8 @@ def _formal_scalar(spec: IntegralSpec, lam, eps_base: float):
     disc factor (k-1)/pi with k = -lambda is applied for display.
     """
     e1, e2 = eps_base * 1e-2, eps_base * 1e-3
-    i1 = integrate(_with_eps(spec, e1))[0]
-    i2 = integrate(_with_eps(spec, e2))[0]
+    i1 = integrate(replace(spec, eps=e1))[0]
+    i2 = integrate(replace(spec, eps=e2))[0]
     delta = min(min(row) for row in spec.exponents) + 1.0
     rho = 10.0 ** (-delta)
     value = i2 + (i2 - i1) * rho / (1.0 - rho) if rho < 1.0 else i2
@@ -383,14 +381,17 @@ def empirical_threshold(
 
     The analytic exponent test is deliberately not consulted; each probe
     classifies the eps-ladder increments.  Raises ConfigurationError if no
-    bracket can be found.
+    bracket can be found, or if a probe's quadrature loses precision.
     """
     ws = weight_system(pair, lambda0)
 
     def empirically_convergent(lam: float) -> bool:
-        rep = classify_convergence(
-            pair, ws, lam, eps_ladder=eps_ladder, order=order, empirical_only=True
-        )
+        try:
+            rep = classify_convergence(
+                pair, ws, lam, eps_ladder=eps_ladder, order=order, empirical_only=True
+            )
+        except IntegralOverflowError as exc:
+            raise ConfigurationError(str(exc)) from exc
         return rep.increment_exponent > 0.0
 
     hi = 0.0

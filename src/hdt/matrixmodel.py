@@ -18,6 +18,8 @@ import numpy as np
 from scipy.linalg import expm
 
 MEMBERSHIP_TOL = 1e-10
+ANGULAR = 8  # systematic angles per radial stratum of stratified_disc
+FD_STEP = 1e-5  # central-difference step of jacobian_matrix
 
 DomainPoint = np.ndarray  # p x q complex, spectral norm < 1
 
@@ -123,15 +125,6 @@ def torus_element(t, p: int, q: int) -> BlockMatrixElement:
     return BlockMatrixElement(m, p, q)
 
 
-def check_domain_point(z: np.ndarray, p: int, q: int):
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (p, q):
-        raise ValueError(f"domain point must be {p} x {q}")
-    if np.linalg.norm(z, 2) >= 1.0:
-        raise ValueError("domain point must have spectral norm below 1")
-    return z
-
-
 def random_domain_point(
     rng: np.random.Generator, p: int, q: int, max_norm: float = 0.8
 ) -> np.ndarray:
@@ -200,12 +193,6 @@ def mobius_action(g: BlockMatrixElement, z: np.ndarray) -> np.ndarray:
         raise OutsideCellError("lower-right block is singular") from exc
 
 
-def automorphy_factor(g: BlockMatrixElement, z: np.ndarray):
-    """The block-diagonal component (k_plus, k_minus) of the factorization."""
-    f = hc_factorize(g, z)
-    return f.k_plus, f.k_minus
-
-
 def multiplier(g: BlockMatrixElement, z: np.ndarray, power: int) -> complex:
     """Scalar multiplier det(C z + D)^power; integer powers only, so no
     branch cuts can appear."""
@@ -245,7 +232,7 @@ def verify_sl2_identity(t: float) -> float:
     return res
 
 
-def jacobian_matrix(g: BlockMatrixElement, z: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def jacobian_matrix(g: BlockMatrixElement, z: np.ndarray) -> np.ndarray:
     """Complex Jacobian of the Moebius action at z by central differences.
 
     The map is holomorphic, so differences along real coordinate directions
@@ -258,10 +245,10 @@ def jacobian_matrix(g: BlockMatrixElement, z: np.ndarray, step: float = 1e-5) ->
     for k in range(p):
         for l in range(q):
             dz = np.zeros((p, q), dtype=complex)
-            dz[k, l] = step
+            dz[k, l] = FD_STEP
             wp = mobius_action(g, z + dz)
             wm = mobius_action(g, z - dz)
-            jac[:, col] = ((wp - wm) / (2.0 * step)).ravel()
+            jac[:, col] = ((wp - wm) / (2.0 * FD_STEP)).ravel()
             col += 1
     return jac
 
@@ -351,7 +338,6 @@ def verify_reproducing_kernel_disc(
     w: complex,
     n_samples: int = 1_000_000,
     seed: int = 0,
-    angular: int = 8,
 ) -> tuple[complex, complex, float]:
     """Monte Carlo check of the reproducing property on the unit disc.
 
@@ -363,13 +349,7 @@ def verify_reproducing_kernel_disc(
     """
     if k < 2:
         raise ValueError("need k >= 2 for a finite weighted space")
-    rng = np.random.default_rng(seed)
-    strata = max(1, n_samples // angular)
-    u = (np.arange(strata) + rng.uniform(size=strata)) / strata
-    radii = np.sqrt(u)
-    theta0 = rng.uniform(size=strata)
-    angles = 2.0 * np.pi * (np.arange(angular)[None, :] + theta0[:, None]) / angular
-    z = radii[:, None] * np.exp(1j * angles)
+    z = stratified_disc(np.random.default_rng(seed), n_samples)
 
     fz = np.polynomial.polynomial.polyval(z, np.asarray(coeffs, dtype=complex))
     kernel = (1.0 - w * np.conj(z)) ** (-k)
@@ -425,16 +405,16 @@ def sample_disc(rng: np.random.Generator, n: int) -> np.ndarray:
     return out[:n]
 
 
-def stratified_disc(rng: np.random.Generator, n: int, angular: int = 8) -> np.ndarray:
+def stratified_disc(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform points on the disc, stratified in r^2 with systematic angles.
 
     Same distribution as sample_disc but with far lower variance for smooth
     integrands, which keeps the percent-level Monte Carlo checks stable.
     """
-    strata = max(1, n // angular)
+    strata = max(1, n // ANGULAR)
     u = (np.arange(strata) + rng.uniform(size=strata)) / strata
     radii = np.sqrt(u)
-    angles = 2.0 * np.pi * (np.arange(angular)[None, :] + rng.uniform(size=strata)[:, None]) / angular
+    angles = 2.0 * np.pi * (np.arange(ANGULAR)[None, :] + rng.uniform(size=strata)[:, None]) / ANGULAR
     return (radii[:, None] * np.exp(1j * angles)).ravel()
 
 

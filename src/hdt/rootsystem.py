@@ -1,10 +1,13 @@
 """Root systems of the simple complex Lie algebras A-D, E6, E7.
 
-Roots are stored as integer coefficient vectors in the simple-root basis,
-and every inner product is routed through an exact rational Gram matrix,
-normalized so that long roots have squared length 2.  No irrational
-Euclidean embedding ever appears, so all structure constants here are
-exact.
+Roots are stored as integer coefficient vectors in the simple-root basis.
+Pairings are integer tables built once per root system: the symmetrized
+Cartan matrix 2 (alpha_i|alpha_j), normalized so that long roots have
+squared length 2, and each root's coroot in simple-coroot coordinates.  A
+weight given by its values on the simple coroots pairs with a coroot by an
+integer dot product; `Fraction` appears only for values that are truly
+half-integral.  No irrational Euclidean embedding ever appears, so all
+structure constants here are exact.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
-from .exact import rat, solve_linear
+from .exact import solve_linear
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7")
 
@@ -45,38 +49,33 @@ class CartanType:
         return self.family if self.family.startswith("E") else f"{self.family}{self.rank}"
 
 
-def _gram_matrix(t: CartanType) -> tuple[tuple[Fraction, ...], ...]:
-    """(alpha_i | alpha_j) for the simple roots, long roots normalized to 2."""
+def _symmetrized_cartan(t: CartanType) -> tuple[tuple[int, ...], ...]:
+    """2 (alpha_i | alpha_j) for the simple roots, long roots normalized to 2.
+
+    Long simple roots have 4 on the diagonal, short ones 2.  Joined nodes
+    carry -1 when both are short and -2 otherwise, which reproduces the
+    Cartan integers -1 and -2 of every Dynkin edge.
+    """
     n = t.rank
-    g = [[Fraction(0)] * n for _ in range(n)]
-
-    def chain(edges, diag):
-        for i in range(n):
-            g[i][i] = diag[i]
-        for i, j in edges:
-            v = -min(diag[i], diag[j]) / 2 if (diag[i] == 1 or diag[j] == 1) else Fraction(-1)
-            g[i][j] = g[j][i] = v
-
-    two, one = Fraction(2), Fraction(1)
-    if t.family == "A":
-        chain([(i, i + 1) for i in range(n - 1)], [two] * n)
-    elif t.family == "B":
-        # last node short
-        chain([(i, i + 1) for i in range(n - 1)], [two] * (n - 1) + [one])
-        g[n - 2][n - 1] = g[n - 1][n - 2] = Fraction(-1)
+    if t.family == "B":
+        diag = [4] * (n - 1) + [2]  # last node short
     elif t.family == "C":
-        # last node long, the others short
-        chain([(i, i + 1) for i in range(n - 2)], [one] * (n - 1) + [two])
-        g[n - 2][n - 1] = g[n - 1][n - 2] = Fraction(-1)
-    elif t.family == "D":
-        chain([(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)], [two] * n)
+        diag = [2] * (n - 1) + [4]  # last node long, the others short
     else:
+        diag = [4] * n
+    if t.family == "D":
+        edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    elif t.family.startswith("E"):
         # Bourbaki numbering: chain 1-3-4-5-6(-7), node 2 hangs off node 4
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        if t.family == "E7":
-            edges.append((5, 6))
-        chain(edges, [two] * n)
-    return tuple(tuple(row) for row in g)
+        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)] + ([(5, 6)] if t.family == "E7" else [])
+    else:
+        edges = [(i, i + 1) for i in range(n - 1)]
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        s[i][i] = diag[i]
+    for i, j in edges:
+        s[i][j] = s[j][i] = -max(diag[i], diag[j]) // 2
+    return tuple(tuple(row) for row in s)
 
 
 def _root_count(t: CartanType) -> int:
@@ -97,17 +96,18 @@ class RootSystem:
     def __init__(self, cartan_type: CartanType):
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
-        self.gram = _gram_matrix(cartan_type)
+        self.sym = _symmetrized_cartan(cartan_type)
         # cartan[i][j] = alpha_i evaluated on the coroot of alpha_j
         self.cartan = tuple(
-            tuple(int(2 * self.gram[i][j] / self.gram[j][j]) for j in range(self.rank))
+            tuple(2 * self.sym[i][j] // self.sym[j][j] for j in range(self.rank))
             for i in range(self.rank)
         )
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         )
         self.all_roots = self._generate()
-        self._root_set = frozenset(self.all_roots)
+        # root -> its coroot in simple-coroot coordinates
+        self._coroots = {r: self._coroot_of(r) for r in self.all_roots}
         self.positive_roots: tuple[Root, ...] = tuple(
             sorted((r for r in self.all_roots if all(c >= 0 for c in r)), key=lambda r: (sum(r), r))
         )
@@ -135,6 +135,14 @@ class RootSystem:
             frontier = nxt
         return tuple(sorted(seen))
 
+    def _coroot_of(self, alpha: Root) -> Root:
+        # alpha^vee = sum_i alpha_i (alpha_i|alpha_i)/(alpha|alpha) alpha_i^vee
+        nsq2 = self.inner2(alpha, alpha)
+        scaled = [c * self.sym[i][i] for i, c in enumerate(alpha)]
+        if any(x % nsq2 for x in scaled):
+            raise StructuralError(f"{self.cartan_type}: coroot of {alpha} is not integral")
+        return tuple(x // nsq2 for x in scaled)
+
     def _find_highest(self) -> Root:
         top_height = max(sum(r) for r in self.positive_roots)
         top = [r for r in self.positive_roots if sum(r) == top_height]
@@ -150,35 +158,44 @@ class RootSystem:
             )
         for r in self.all_roots:
             neg = tuple(-c for c in r)
-            if neg not in self._root_set:
+            if neg not in self._coroots:
                 raise StructuralError("root set not closed under negation")
             if not (all(c >= 0 for c in r) or all(c <= 0 for c in r)):
                 raise StructuralError("root with mixed-sign coefficients")
 
     # -- exact queries -----------------------------------------------------
+    # Every pairing is an integer dot product against `sym` or the coroot
+    # table; a Fraction appears only where a value is truly half-integral.
+
+    def inner2(self, u: Sequence, v: Sequence):
+        """2 (u | v) for vectors in simple-root coordinates; an integer when
+        u and v are."""
+        return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.sym) if ui)
 
     def inner(self, u: Sequence, v: Sequence) -> Fraction:
         """(u | v) for vectors in simple-root coordinates."""
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.gram[i]
-            total += rat(ui) * sum((row[j] * rat(vj) for j, vj in enumerate(v) if vj != 0), Fraction(0))
-        return total
+        return Fraction(self.inner2(u, v), 2)
 
     def norm_sq(self, v: Sequence) -> Fraction:
         return self.inner(v, v)
 
-    def coroot_pairing(self, phi: Sequence, alpha: Sequence) -> Fraction:
-        """phi evaluated on the coroot of alpha: 2 (phi|alpha) / (alpha|alpha).
+    def coroot(self, alpha: Sequence) -> Root:
+        """The coroot of the root alpha in simple-coroot coordinates."""
+        try:
+            return self._coroots[tuple(alpha)]
+        except KeyError:
+            raise ValueError(f"{tuple(alpha)} is not a root") from None
+
+    def weight_coords(self, v: Sequence) -> tuple:
+        """Values of a simple-root-coordinate vector on the simple coroots."""
+        return tuple(sum(map(mul, v, col)) for col in zip(*self.cartan))
+
+    def coroot_pairing(self, phi: Sequence, alpha: Sequence):
+        """phi evaluated on the coroot of the root alpha: 2 (phi|alpha) / (alpha|alpha).
 
         phi is given in simple-root coordinates (rational entries allowed).
         """
-        nsq = self.norm_sq(alpha)
-        if nsq == 0:
-            raise ValueError("zero vector has no coroot")
-        return 2 * self.inner(phi, alpha) / nsq
+        return sum(map(mul, self.weight_coords(phi), self.coroot(alpha)))
 
     def is_root(self, v: Sequence) -> bool:
         if len(v) != self.rank:
@@ -189,19 +206,16 @@ class RootSystem:
             return False
         if any(ti != ci for ti, ci in zip(t, v)):
             return False
-        return t in self._root_set
+        return t in self._coroots
 
-    def reflect(self, alpha: Sequence, v: Sequence) -> tuple[Fraction, ...]:
+    def reflect(self, alpha: Sequence, v: Sequence) -> tuple:
         """Reflection of v in the hyperplane orthogonal to the root alpha."""
         c = self.coroot_pairing(v, alpha)
-        return tuple(rat(vi) - c * rat(ai) for vi, ai in zip(v, alpha))
+        return tuple(vi - c * ai for vi, ai in zip(v, alpha))
 
     def fundamental_weight(self, i: int) -> tuple[Fraction, ...]:
         """The i-th fundamental weight in simple-root coordinates."""
         return _fundamental_weights(self)[i]
-
-    def root_height(self, r: Root) -> int:
-        return sum(r)
 
 
 @lru_cache(maxsize=None)
@@ -214,15 +228,5 @@ def _fundamental_weights(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
     # omega_i solves <omega_i, alpha_j^vee> = delta_ij; the system matrix is
     # the transposed Cartan matrix acting on simple-root coordinates
     n = rs.rank
-    ct = [[Fraction(rs.cartan[i][j]) for i in range(n)] for j in range(n)]
-    out = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        out.append(solve_linear(ct, e))
-    return tuple(out)
-
-
-def cartan_integer(rs: RootSystem, phi: Sequence, alpha: Sequence) -> Fraction:
-    """2 (phi|alpha)/(alpha|alpha) with phi in simple-root coordinates."""
-    return rs.coroot_pairing(phi, alpha)
+    ct = [[rs.cartan[i][j] for i in range(n)] for j in range(n)]
+    return tuple(solve_linear(ct, [int(j == i) for j in range(n)]) for i in range(n))

@@ -1,9 +1,9 @@
 """Aggregated verification suites behind the `hdt verify` command.
 
-The exact suite re-proves the structural identities with rational
-arithmetic on every catalog pair; the numeric suite drives the seeded
-matrix-model residual checks.  Each check reports its residual and the
-tolerance it was held to, so the CLI can print one line per check.
+The exact suite re-proves the structural identities in exact arithmetic
+on every catalog pair; the numeric suite drives the seeded matrix-model
+residual checks.  Each check reports its residual and the tolerance it was
+held to, so the CLI can print one line per check.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ def _zero_lambda0(pair):
 # -- exact suite --------------------------------------------------------------
 
 
-def run_exact_suite(tol_scale: float = 1.0) -> list[CheckResult]:
+def run_exact_suite() -> list[CheckResult]:
+    """Exact checks are true or false: each counts its failures against
+    tolerance 0, and no tolerance scale applies."""
     out: list[CheckResult] = []
-    strict = 0.0 if tol_scale >= 1.0 else -1.0  # scaled below 1 forces failure
     for pair in catalog():
         rs = pair.root_system
         rd = restricted_root_data(pair)
@@ -60,7 +61,7 @@ def run_exact_suite(tol_scale: float = 1.0) -> list[CheckResult]:
 
         try:
             verify_rho_identities(pair)
-            out.append(_check(f"{pair.label}: rho identities", 0, strict, "exact"))
+            out.append(_check(f"{pair.label}: rho identities", 0, 0, "exact"))
         except StructuralError as exc:
             out.append(CheckResult(f"{pair.label}: rho identities", False, 1.0, 0.0, str(exc)))
 
@@ -68,15 +69,15 @@ def run_exact_suite(tol_scale: float = 1.0) -> list[CheckResult]:
         book_n = int(len(part.noncompact_pos) != n_total)
         n_c = rd.a * rd.r * (rd.r - 1) // 2 + rd.b * rd.r + rd.zero_compact_count
         book_c = int(len(part.compact_pos) != n_c)
-        out.append(_check(f"{pair.label}: dimension bookkeeping", book_n + book_c, strict))
+        out.append(_check(f"{pair.label}: dimension bookkeeping", book_n + book_c, 0))
 
         lam1 = lambda_one(pair)
         bad = sum(1 for g in cr.gammas if weight_on_coroot(rs, lam1, g) != 1)
-        out.append(_check(f"{pair.label}: Lambda_1(h_j) = 1", bad, strict))
+        out.append(_check(f"{pair.label}: Lambda_1(h_j) = 1", bad, 0))
 
         rho, _ = rho_vectors(pair)
         bad = sum(1 for c in rho if c != 1)
-        out.append(_check(f"{pair.label}: rho(h_alpha) = 1 on simple coroots", bad, strict))
+        out.append(_check(f"{pair.label}: rho(h_alpha) = 1 on simple coroots", bad, 0))
 
         lambda0s = [_zero_lambda0(pair)]
         fw = compact_fundamental_weights(pair)
@@ -86,7 +87,7 @@ def run_exact_suite(tol_scale: float = 1.0) -> list[CheckResult]:
             ws = weight_system(pair, lam0)
             try:
                 verify_weight_bound(pair, ws)
-                out.append(_check(f"{pair.label}: weight bound (lambda0 #{i})", 0, strict,
+                out.append(_check(f"{pair.label}: weight bound (lambda0 #{i})", 0, 0,
                                   f"{len(ws.weights)} weights"))
             except StructuralError as exc:
                 out.append(CheckResult(f"{pair.label}: weight bound (lambda0 #{i})",
@@ -101,7 +102,7 @@ def run_exact_suite(tol_scale: float = 1.0) -> list[CheckResult]:
                 if v.exists != (off < 0):
                     bad += 1
                 reduction_trace(inp)  # raises on a bad expansion
-            out.append(_check(f"{pair.label}: criterion forms agree (lambda0 #{i})", bad, strict))
+            out.append(_check(f"{pair.label}: criterion forms agree (lambda0 #{i})", bad, 0))
     return out
 
 
@@ -230,7 +231,7 @@ def run_suite(scope: str = "all", seed: int = 0, tol_scale: float = 1.0,
               fast: bool = False) -> list[CheckResult]:
     out: list[CheckResult] = []
     if scope in ("exact", "all"):
-        out.extend(run_exact_suite(tol_scale))
+        out.extend(run_exact_suite())
     if scope in ("numeric", "all"):
         triples = 100 if fast else 1000
         samples = 50_000 if fast else 200_000

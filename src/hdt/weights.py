@@ -1,10 +1,11 @@
 """Weights on the full Cartan subalgebra and the compact-part weight systems.
 
-A weight is a tuple of values on the simple coroots (fundamental-weight
-coordinates), always exact rationals.  Weights of compact-part irreducibles
-are generated by string saturation from the highest weight; multiplicities
-come from the standard recursive formula and are only needed for the
-formal-dimension report, never for convergence.
+A weight is a tuple of integer values on the simple coroots
+(fundamental-weight coordinates); it pairs with a root's coroot by an
+integer dot product against the coroot table of `rootsystem`.  Weights of
+compact-part irreducibles are generated by string saturation from the
+highest weight; multiplicities come from the standard recursive formula and
+are only needed for the formal-dimension report, never for convergence.
 """
 
 from __future__ import annotations
@@ -12,72 +13,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .cascade import half_sum, strongly_orthogonal_cascade
+from .cascade import root_sum, strongly_orthogonal_cascade
 from .hermitian import HermitianPair, compact_nodes, partition_roots
-from .rootsystem import Root, RootSystem, StructuralError
+from .rootsystem import RootSystem, StructuralError
 
-Weight = tuple[Fraction, ...]
-
-
-def to_weight(coords) -> Weight:
-    return tuple(Fraction(c) for c in coords)
+Weight = tuple[int, ...]
 
 
-def root_to_weight_coords(rs: RootSystem, alpha) -> Weight:
-    """Values of a simple-root-coordinate vector on all simple coroots."""
-    return tuple(rs.coroot_pairing(alpha, s) for s in rs.simple_roots)
+def weight_on_coroot(rs: RootSystem, w: Weight, alpha) -> int:
+    """w evaluated on the coroot of the root alpha."""
+    return sum(map(mul, w, rs.coroot(alpha)))
 
 
 def inner_weight_root(rs: RootSystem, w: Weight, alpha) -> Fraction:
-    """(w | alpha) for w in weight coordinates, alpha in root coordinates."""
-    total = Fraction(0)
-    for k, (mk, ck) in enumerate(zip(w, alpha)):
-        if mk and ck:
-            total += Fraction(mk) * ck * rs.gram[k][k] / 2
-    return total
+    """(w | alpha) = w(alpha^vee) (alpha|alpha) / 2 for w in weight coordinates."""
+    return Fraction(weight_on_coroot(rs, w, alpha) * rs.inner2(alpha, alpha), 4)
 
 
-def weight_on_coroot(rs: RootSystem, w: Weight, alpha) -> Fraction:
-    """w evaluated on the coroot of alpha."""
-    return 2 * inner_weight_root(rs, w, alpha) / rs.norm_sq(alpha)
+def _half(v) -> tuple:
+    # exact halves: even entries stay int, odd ones become Fractions
+    return tuple(c // 2 if c % 2 == 0 else Fraction(c, 2) for c in v)
 
 
 @lru_cache(maxsize=None)
-def _fundamental_gram(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
-    n = rs.rank
-    fw = [rs.fundamental_weight(i) for i in range(n)]
-    return tuple(tuple(rs.inner(fw[i], fw[j]) for j in range(n)) for i in range(n))
-
-
-def inner_weights(rs: RootSystem, u: Weight, v: Weight) -> Fraction:
-    g = _fundamental_gram(rs)
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        row = g[i]
-        total += Fraction(ui) * sum(
-            (row[j] * Fraction(vj) for j, vj in enumerate(v) if vj != 0), Fraction(0)
-        )
-    return total
-
-
-@lru_cache(maxsize=None)
-def rho_vectors(pair: HermitianPair) -> tuple[Weight, Weight]:
+def rho_vectors(pair: HermitianPair) -> tuple[Weight, tuple]:
     """(rho, rho_n): half sums over all / noncompact positive roots."""
     rs = pair.root_system
     part = partition_roots(pair)
-    rho = root_to_weight_coords(rs, half_sum(rs, rs.positive_roots))
-    rho_n = root_to_weight_coords(rs, half_sum(rs, part.noncompact_pos))
+    rho = _half(rs.weight_coords(root_sum(rs, rs.positive_roots)))
+    rho_n = _half(rs.weight_coords(root_sum(rs, part.noncompact_pos)))
     return rho, rho_n
 
 
 def lambda_one(pair: HermitianPair) -> Weight:
     """The fundamental weight dual to the distinguished noncompact node."""
-    return tuple(
-        Fraction(1 if i == pair.node else 0) for i in range(pair.root_system.rank)
-    )
+    return tuple(int(i == pair.node) for i in range(pair.root_system.rank))
 
 
 def extend_compact_coords(pair: HermitianPair, compact_coords) -> Weight:
@@ -88,18 +60,16 @@ def extend_compact_coords(pair: HermitianPair, compact_coords) -> Weight:
         raise ValueError(
             f"{pair.name}: expected {len(nodes)} compact coordinates, got {len(vals)}"
         )
-    full = [Fraction(0)] * pair.root_system.rank
+    full = [0] * pair.root_system.rank
     for i, v in zip(nodes, vals):
-        full[i] = Fraction(v)
+        full[i] = v
     return tuple(full)
 
 
 def compact_fundamental_weights(pair: HermitianPair) -> tuple[Weight, ...]:
     """Unit weights on each compact node (zero on the distinguished coroot)."""
     n = pair.root_system.rank
-    return tuple(
-        tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in compact_nodes(pair)
-    )
+    return tuple(tuple(int(j == i) for j in range(n)) for i in compact_nodes(pair))
 
 
 @dataclass(frozen=True)
@@ -134,7 +104,7 @@ def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
     _validate_lambda0(pair, lambda0)
     rs = pair.root_system
     rows = {i: rs.cartan[i] for i in compact_nodes(pair)}
-    start = tuple(Fraction(c) for c in lambda0)
+    start = tuple(int(c) for c in lambda0)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -144,7 +114,7 @@ def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
                 c = mu[i]
                 if c <= 0:
                     continue
-                for k in range(1, int(c) + 1):
+                for k in range(1, c + 1):
                     cand = tuple(m - k * ri for m, ri in zip(mu, row))
                     if cand not in seen:
                         seen.add(cand)
@@ -155,42 +125,57 @@ def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
 
 def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:
     """Multiplicity of mu in the compact-part irreducible, by the standard
-    recursion descending from the (multiplicity-one) highest weight."""
-    mu = to_weight(mu)
+    recursion descending from the (multiplicity-one) highest weight.
+
+    Freudenthal's formula (lam - nu | lam + nu + 2 rho_c) m(nu) =
+    2 sum_(alpha, k) m(nu + k alpha) (nu + k alpha | alpha) is used scaled by
+    4, which makes both sides integers: with lam - nu = sum n_i alpha_i and x
+    the weight coordinates of lam + nu + 2 rho_c, the left factor is
+    sum_i n_i x_i 2(alpha_i|alpha_i), and 4 (w|alpha) = w(alpha^vee) 2(alpha|alpha).
+    """
     wset = set(ws.weights)
-    if mu not in wset:
+    if tuple(mu) not in wset:
         raise ValueError("mu is not a weight of this representation")
+    mu = tuple(int(c) for c in mu)
     rs = ws.pair.root_system
     lam = ws.highest
     compact_pos = partition_roots(ws.pair).compact_pos
-    rho_c = root_to_weight_coords(rs, half_sum(rs, compact_pos))
-    alpha_coords = [(alpha, root_to_weight_coords(rs, alpha)) for alpha in compact_pos]
-    lam_sq = inner_weights(rs, _add(lam, rho_c), _add(lam, rho_c))
+    two_rho_c = rs.weight_coords(root_sum(rs, compact_pos))
+    alphas = [(a, rs.weight_coords(a), rs.coroot(a), rs.inner2(a, a)) for a in compact_pos]
+    diag = [rs.sym[i][i] for i in range(rs.rank)]
     memo: dict[Weight, int] = {lam: 1}
 
-    def mult(nu: Weight) -> int:
+    def mult(nu: Weight, n: tuple[int, ...]) -> int:
         if nu in memo:
             return memo[nu]
-        rhs = Fraction(0)
-        for alpha, aw in alpha_coords:
+        rhs = 0
+        for alpha, aw, coroot, nsq2 in alphas:
             k = 1
             while True:
-                above = tuple(n + k * c for n, c in zip(nu, aw))
+                above = tuple(m + k * c for m, c in zip(nu, aw))
                 if above not in wset:
                     break
-                rhs += mult(above) * inner_weight_root(rs, above, alpha)
+                n_above = tuple(ni - k * ai for ni, ai in zip(n, alpha))
+                rhs += mult(above, n_above) * sum(map(mul, above, coroot)) * nsq2
                 k += 1
-        nu_sq = inner_weights(rs, _add(nu, rho_c), _add(nu, rho_c))
-        denom = lam_sq - nu_sq
+        x = (a + b + c for a, b, c in zip(lam, nu, two_rho_c))
+        denom = sum(ni * xi * di for ni, xi, di in zip(n, x, diag))
         if denom == 0:
             raise StructuralError("vanishing denominator in multiplicity recursion")
-        val = 2 * rhs / denom
-        if val.denominator != 1 or val <= 0:
-            raise StructuralError(f"non-positive-integer multiplicity {val}")
-        memo[nu] = int(val)
-        return memo[nu]
+        val, rem = divmod(2 * rhs, denom)
+        if rem or val <= 0:
+            raise StructuralError(f"non-positive-integer multiplicity {Fraction(2 * rhs, denom)}")
+        memo[nu] = val
+        return val
 
-    return mult(mu)
+    # lam - mu lies in the root lattice, so its simple-root coordinates,
+    # sum_j (lam - mu)_j omega_j, are integers
+    diff = [a - b for a, b in zip(lam, mu)]
+    n = tuple(
+        int(sum(d * rs.fundamental_weight(j)[i] for j, d in enumerate(diff)))
+        for i in range(rs.rank)
+    )
+    return mult(mu, n)
 
 
 def _add(u: Weight, v: Weight) -> Weight:
@@ -202,16 +187,17 @@ def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
 
 
 def _weyl_dimension(pair: HermitianPair, lambda0: Weight) -> Fraction:
-    # cross-check oracle for the multiplicity recursion, not public API
+    # cross-check oracle for the multiplicity recursion, not public API:
+    # prod (lam + rho_c | alpha) / (rho_c | alpha), each ratio read on alpha^vee
     rs = pair.root_system
     compact_pos = partition_roots(pair).compact_pos
-    rho_c = root_to_weight_coords(rs, half_sum(rs, compact_pos))
-    dim = Fraction(1)
+    two_rho_c = rs.weight_coords(root_sum(rs, compact_pos))
+    shifted = tuple(2 * c + t for c, t in zip(lambda0, two_rho_c))
+    num = den = 1
     for alpha in compact_pos:
-        dim *= inner_weight_root(rs, _add(to_weight(lambda0), rho_c), alpha) / inner_weight_root(
-            rs, rho_c, alpha
-        )
-    return dim
+        num *= weight_on_coroot(rs, shifted, alpha)
+        den *= weight_on_coroot(rs, two_rho_c, alpha)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -227,24 +213,30 @@ class WeightBoundReport:
 def verify_weight_bound(pair: HermitianPair, ws: KssWeightSystem) -> WeightBoundReport:
     """Exhaustive exact check of (Lambda^s | gamma_j) <= (Lambda_0 | gamma_r).
 
-    A violation raises StructuralError (the inequality is a theorem).
+    A violation raises StructuralError (the inequality is a theorem).  The
+    gammas share one length, so (w | gamma) = w(h_gamma) (gamma|gamma) / 2
+    is compared through the integer w(h_gamma).
     """
     rs = pair.root_system
     gammas = strongly_orthogonal_cascade(pair).gammas
-    bound = inner_weight_root(rs, ws.highest, gammas[-1])
+    half_len = rs.norm_sq(gammas[-1]) / 2
+    top = weight_on_coroot(rs, ws.highest, gammas[-1])
     max_val = None
     n = 0
     for mu in ws.weights:
         for g in gammas:
-            v = inner_weight_root(rs, mu, g)
+            v = weight_on_coroot(rs, mu, g)
             n += 1
-            if v > bound:
+            if v > top:
                 raise StructuralError(
-                    f"{pair.name}: weight bound violated: ({mu}|{g}) = {v} > {bound}"
+                    f"{pair.name}: weight bound violated: "
+                    f"({mu}|{g}) = {v * half_len} > {top * half_len}"
                 )
             if max_val is None or v > max_val:
                 max_val = v
-    return WeightBoundReport(pair.label, ws.highest, bound, n, max_val, max_val == bound)
+    return WeightBoundReport(
+        pair.label, ws.highest, top * half_len, n, max_val * half_len, max_val == top
+    )
 
 
 def compact_reflection(pair: HermitianPair, node: int, w: Weight) -> Weight:
@@ -253,6 +245,3 @@ def compact_reflection(pair: HermitianPair, node: int, w: Weight) -> Weight:
     c = w[node]
     return tuple(m - c * ri for m, ri in zip(w, row))
 
-
-def weights_of_root(rs: RootSystem, alpha: Root) -> Weight:
-    return root_to_weight_coords(rs, alpha)

@@ -81,10 +81,21 @@ def test_exit_codes_matrix():
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "1").returncode == 2
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "-1,0").returncode == 2
     assert run_cli("nonsense").returncode == 2
+    for bad in (("--eps", "1e-2,1e-3"), ("--eps", "1e-2,1e-2,1e-2"), ("--order", "0")):
+        res = run_cli("integrate", "su11", "--lambda", "-3", *bad)
+        assert res.returncode == 2, bad
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
     # 1: verification failure (tolerances scaled to impossible)
     res = run_cli("verify", "numeric", "--fast", "--seed", "1", "--tol-scale", "1e-18")
     assert res.returncode == 1
     assert "FAIL" in res.stdout
+
+
+def test_verify_exact_ignores_tol_scale():
+    # exact checks are true or false; the scale applies to numeric tolerances
+    res = run_cli("verify", "exact", "--tol-scale", "0.5")
+    assert res.returncode == 0
+    assert "FAIL" not in res.stdout
 
 
 def test_verify_numeric_passes_and_is_deterministic():

@@ -1,27 +1,11 @@
-"""Exact rational arithmetic and the small linear solver."""
+"""The small exact linear solver."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hdt.exact import SingularMatrixError, mat_vec, rational_arith, solve_linear
-
-
-def test_arith_examples():
-    assert rational_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert Fraction(2, 4) == Fraction(1, 2)  # lowest terms on construction
-    assert rational_arith(Fraction(7, 3), Fraction(7, 3), "sub") == 0
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(Fraction(1), Fraction(0), "div")
-
-
-def test_unknown_op():
-    with pytest.raises(ValueError):
-        rational_arith(1, 1, "pow")
+from hdt.exact import SingularMatrixError, mat_vec, solve_linear
 
 
 def test_solve_identity():
@@ -51,20 +35,6 @@ def test_solve_needs_pivot_swap():
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=40
 )
-
-
-@given(st.lists(rationals, min_size=3, max_size=3))
-def test_arith_commutes(vals):
-    a, b, _ = vals
-    assert rational_arith(a, b, "add") == rational_arith(b, a, "add")
-    assert rational_arith(a, b, "mul") == rational_arith(b, a, "mul")
-
-
-@given(st.lists(rationals, min_size=3, max_size=3))
-def test_arith_associates(vals):
-    a, b, c = vals
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
 
 
 @given(

@@ -11,6 +11,7 @@ from hdt.cascade import restricted_root_data
 from hdt.criterion import hc_threshold
 from hdt.hermitian import pair_by_label
 from hdt.integral import (
+    ConfigurationError,
     IntegralOverflowError,
     IntegralSpec,
     _Grid,
@@ -177,6 +178,16 @@ def test_overflow_signalled():
     spec = _spec_r1(-40.0, eps=1e-10)
     with pytest.raises(IntegralOverflowError):
         integrate(spec)
+
+
+def test_lost_precision_is_a_typed_failure():
+    # at lambda = 0 the su(3,3) ladder cancels to a negative truncated value
+    pr = pair_by_label("su33")
+    ws = weight_system(pr, _zero(pr))
+    with pytest.raises(IntegralOverflowError):
+        classify_convergence(pr, ws, 0, order=12, empirical_only=True)
+    with pytest.raises(ConfigurationError):
+        empirical_threshold(pr, _zero(pr))
 
 
 def test_empirical_threshold_su11():

@@ -12,6 +12,7 @@ from hdt.weights import (
     compact_reflection,
     extend_compact_coords,
     freudenthal_multiplicity,
+    inner_weight_root,
     lambda_one,
     rho_vectors,
     verify_weight_bound,
@@ -25,6 +26,34 @@ def test_rho_unit_coordinates_everywhere():
     for pr in catalog():
         rho, _ = rho_vectors(pr)
         assert all(c == 1 for c in rho)
+
+
+def test_coroot_table_matches_gram_formula():
+    # reference: 2 (phi|alpha) / (alpha|alpha) in Fractions from the Gram
+    # entries (alpha_i|alpha_j), with phi in simple-root coordinates
+    for pr in catalog():
+        rs = pr.root_system
+        n = rs.rank
+        gram = [[Fraction(rs.sym[i][j], 2) for j in range(n)] for i in range(n)]
+
+        def in_roots(w):
+            return [sum(w[j] * rs.fundamental_weight(j)[i] for j in range(n)) for i in range(n)]
+
+        rho_roots = [Fraction(sum(a[i] for a in rs.positive_roots), 2) for i in range(n)]
+        phis = [(rho_vectors(pr)[0], rho_roots), (lambda_one(pr), in_roots(lambda_one(pr)))]
+        phis += [(w, in_roots(w)) for w in compact_fundamental_weights(pr)]
+        sq = {
+            alpha: sum(alpha[i] * gram[i][j] * alpha[j] for i in range(n) for j in range(n))
+            for alpha in rs.all_roots
+        }
+        for w, phi in phis:
+            phi_gram = [sum(phi[i] * gram[i][j] for i in range(n)) for j in range(n)]
+            for alpha in rs.all_roots:
+                on_alpha = sum(g * c for g, c in zip(phi_gram, alpha))
+                expected = 2 * on_alpha / sq[alpha]
+                assert weight_on_coroot(rs, w, alpha) == expected, (pr.label, w, alpha)
+                assert rs.coroot_pairing(phi, alpha) == expected
+                assert inner_weight_root(rs, w, alpha) == on_alpha
 
 
 def test_su11_rho_values():
