@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
 from .criterion import HighestWeightInput, hc_condition, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
-from .integral import MAX_QUADRATURE_RANK, IntegralOverflowError, classify_convergence, ConfigurationError
+from .integral import IntegralOverflowError, classify_convergence
 from .suite import run_suite
 from .weights import extend_compact_coords, weight_system
 
@@ -226,9 +226,9 @@ def cmd_integrate(args) -> int:
     try:
         report = classify_convergence(
             pair, ws, lam, eps_ladder=ladder, order=args.order,
-            want_scalar=True, with_multiplicities=len(ws.weights) <= 200,
+            want_scalar=True, with_multiplicities=True,
         )
-    except (IntegralOverflowError, ConfigurationError) as exc:
+    except IntegralOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
 
@@ -254,8 +254,8 @@ def cmd_integrate(args) -> int:
 
     print(f"pair {pair.label}  lambda {lam}  rank r = {rd.r}  genus p = {rd.p}")
     print(f"weights in trace: {len(ws.weights)}  min exponent: {fmt(report.min_exponent)}")
-    if rd.r > MAX_QUADRATURE_RANK:
-        print(f"rank above quadrature cap ({MAX_QUADRATURE_RANK}); analytic classification only")
+    if report.empirical_classification == "not-run":
+        print(report.scalar_note)
     else:
         print("eps ladder (truncated integrals):")
         for e, v in report.truncated_values:

@@ -47,41 +47,40 @@ class RootPartition:
 
 
 @lru_cache(maxsize=1)
+def _catalog_entries() -> dict[str, tuple[CartanType, int, str, str]]:
+    # label -> (cartan type, node, label, name) in catalog order; building a
+    # HermitianPair builds its root system, so only the entries are listed
+    entries = [(CartanType("A", t - 1), p - 1, f"su{p}{t - p}", f"su({p},{t - p})")
+               for t in range(2, 9) for p in range(1, t // 2 + 1)]
+    entries += [(CartanType("C", n), n - 1, f"sp{n}", f"sp({n},R)") for n in range(2, 8)]
+    so2 = [(CartanType("B", n), 0, f"so2_{2*n-1}", f"so(2,{2*n-1})") for n in range(2, 8)]
+    so2 += [(CartanType("D", n), 0, f"so2_{2*n-2}", f"so(2,{2*n-2})") for n in range(3, 8)]
+    entries += sorted(so2, key=lambda e: int(e[2].split("_")[1]))
+    entries += [(CartanType("D", n), n - 1, f"sostar{2*n}", f"so*({2*n})") for n in range(3, 8)]
+    entries += [(CartanType("E6", 6), 0, "e3iii", "E III"), (CartanType("E7", 7), 6, "e7vii", "E VII")]
+    return {e[2]: e for e in entries}
+
+
+@lru_cache(maxsize=None)
+def _pair(label: str) -> HermitianPair:
+    return HermitianPair(*_catalog_entries()[label])
+
+
 def catalog() -> tuple[HermitianPair, ...]:
     """All supported pairs: su(p,q) for p+q <= 8, the classical rank <= 7
     families, and both exceptional domains."""
-    pairs: list[HermitianPair] = []
-    for total in range(2, 9):
-        for p in range(1, total // 2 + 1):
-            q = total - p
-            pairs.append(
-                HermitianPair(CartanType("A", total - 1), p - 1, f"su{p}{q}", f"su({p},{q})")
-            )
-    for n in range(2, 8):
-        pairs.append(HermitianPair(CartanType("C", n), n - 1, f"sp{n}", f"sp({n},R)"))
-    so2: list[HermitianPair] = []
-    for n in range(2, 8):
-        so2.append(HermitianPair(CartanType("B", n), 0, f"so2_{2*n-1}", f"so(2,{2*n-1})"))
-    for n in range(3, 8):
-        so2.append(HermitianPair(CartanType("D", n), 0, f"so2_{2*n-2}", f"so(2,{2*n-2})"))
-    so2.sort(key=lambda pr: int(pr.label.split("_")[1]))
-    pairs.extend(so2)
-    for n in range(3, 8):
-        pairs.append(HermitianPair(CartanType("D", n), n - 1, f"sostar{2*n}", f"so*({2*n})"))
-    pairs.append(HermitianPair(CartanType("E6", 6), 0, "e3iii", "E III"))
-    pairs.append(HermitianPair(CartanType("E7", 7), 6, "e7vii", "E VII"))
-    return tuple(pairs)
+    return tuple(map(_pair, _catalog_entries()))
 
 
 _ALIASES = {"e6iii": "e3iii", "eiii": "e3iii", "evii": "e7vii"}
 
 
 def pair_by_label(label: str) -> HermitianPair:
+    """The catalog pair with this label or alias; builds only its root system."""
     key = _ALIASES.get(label.lower(), label.lower())
-    for pr in catalog():
-        if pr.label == key:
-            return pr
-    raise KeyError(f"unknown pair label {label!r}")
+    if key not in _catalog_entries():
+        raise KeyError(f"unknown pair label {label!r}")
+    return _pair(key)
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,8 @@ from .hermitian import HermitianPair
 from .weights import (
     KssWeightSystem,
     Weight,
-    freudenthal_multiplicity,
     lambda_one,
+    weight_multiplicities,
     weight_on_coroot,
     weight_system,
 )
@@ -52,9 +52,8 @@ class IntegralSpec:
     r: int
     a: int
     b: int
-    exponents: tuple[tuple[float, ...], ...]  # per weight, per coordinate
-    exact_exponents: tuple[tuple[Fraction, ...], ...] | None
-    multiplicities: tuple[int, ...]
+    exponents: tuple[tuple[Fraction | float, ...], ...]  # distinct rows E_{s,j}
+    multiplicities: tuple[int, ...]  # per row, summed over the weights sharing it
     eps: float
     order: int
 
@@ -176,7 +175,7 @@ def _integrate_at_order(spec: IntegralSpec, order: int) -> float:
 
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for mult, exps in zip(spec.multiplicities, spec.exponents):
+        for mult, exps in zip(spec.multiplicities, np.array(spec.exponents, dtype=float)):
             h = None
             for j in range(spec.r):
                 fj = one_minus_sq ** exps[j]
@@ -217,7 +216,9 @@ def build_integrand(
 ) -> IntegralSpec:
     """Exponent table E_{s,j} = -(Lambda^s + lambda Lambda_1)(h_j) - p.
 
-    The rational part is exact; lambda enters exactly when it is rational.
+    One exact row per distinct E_{s,j}; its multiplicity sums the weight
+    multiplicities (or counts the weights, with unit weights) over the
+    weights that share it.  Rows keep the order of first occurrence.
     """
     rs = pair.root_system
     rd = restricted_root_data(pair)
@@ -225,23 +226,19 @@ def build_integrand(
     lam1 = lambda_one(pair)
     lam_exact = as_exact(lam)
 
-    # E_{s,j} = shift_j - Lambda^s(h_j): the integer pairings come from the
-    # coroot table, and each distinct pairing row is made exact and float once
+    # E_{s,j} = shift_j - Lambda^s(h_j); integer pairings from the coroot table
     shift = [-lam_exact * weight_on_coroot(rs, lam1, g) - rd.p for g in gammas]
-    keys = [tuple(weight_on_coroot(rs, mu, g) for g in gammas) for mu in ws.weights]
-    exact_of = {k: tuple(s - m for s, m in zip(shift, k)) for k in set(keys)}
-    float_of = {k: tuple(float(e) for e in row) for k, row in exact_of.items()}
-    if with_multiplicities:
-        mults = tuple(freudenthal_multiplicity(ws, mu) for mu in ws.weights)
-    else:
-        mults = (1,) * len(ws.weights)
+    mults = weight_multiplicities(ws) if with_multiplicities else None
+    rows: dict[tuple[int, ...], int] = {}
+    for mu in ws.weights:
+        key = tuple(weight_on_coroot(rs, mu, g) for g in gammas)
+        rows[key] = rows.get(key, 0) + (mults[mu] if mults else 1)
     return IntegralSpec(
         r=rd.r,
         a=rd.a,
         b=rd.b,
-        exponents=tuple(float_of[k] for k in keys),
-        exact_exponents=tuple(exact_of[k] for k in keys),
-        multiplicities=mults,
+        exponents=tuple(tuple(s - m for s, m in zip(shift, k)) for k in rows),
+        multiplicities=tuple(rows.values()),
         eps=eps,
         order=order,
     )
@@ -286,28 +283,39 @@ def classify_convergence(
     """Analytic classification from the exponents, corroborated on an
     eps-ladder of truncated integrals.
 
-    With empirical_only=True the analytic exponent test is ignored and the
-    verdict comes from the increment-ratio exponent alone, flagged
-    boundary-indeterminate inside a small band rather than guessed.
+    Above the rank cap, or when the ladder overflows or cancels, the
+    empirical part is "not-run" and the note says why.  With
+    empirical_only=True the verdict comes from the increment-ratio exponent
+    alone (boundary-indeterminate inside a small band, not guessed), and a
+    failed ladder raises IntegralOverflowError.
     """
     rd = restricted_root_data(pair)
-    if rd.r > MAX_QUADRATURE_RANK:
-        spec = build_integrand(pair, ws, lam, order=order)
-        min_exp = min(min(row) for row in spec.exponents)
-        cls = "convergent" if _analytic_convergent(spec) else "divergent"
-        return ConvergenceReport(cls, min_exp, (), float("nan"), float("nan"),
-                                 "not-run", None, "rank above quadrature cap; analytic only")
-
+    quadrature = rd.r <= MAX_QUADRATURE_RANK
     spec = build_integrand(pair, ws, lam, order=order,
-                           with_multiplicities=with_multiplicities)
+                           with_multiplicities=with_multiplicities and quadrature)
+    min_exp = float(min(min(row) for row in spec.exponents))
+    # finite iff every exponent exceeds -1
+    analytic = "convergent" if all(e > -1 for row in spec.exponents for e in row) else "divergent"
+
+    def analytic_only(reason: str) -> ConvergenceReport:
+        return ConvergenceReport(analytic, min_exp, (), float("nan"), float("nan"),
+                                 "not-run", None, f"{reason}; analytic classification only")
+
+    if not quadrature:
+        return analytic_only(f"rank above quadrature cap ({MAX_QUADRATURE_RANK})")
     ladder = tuple(sorted(eps_ladder, reverse=True))
-    values = [integrate(replace(spec, eps=e))[0] for e in ladder]
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        # cancellation in the monomial sum has eaten every significant digit
-        raise IntegralOverflowError(
-            f"quadrature lost precision at lambda = {lam}: truncated values "
-            f"{', '.join(f'{v:.3g}' for v in values)} are not all finite and positive"
-        )
+    try:
+        values = [integrate(replace(spec, eps=e))[0] for e in ladder]
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            # cancellation in the monomial sum has eaten every significant digit
+            raise IntegralOverflowError(
+                f"quadrature lost precision at lambda = {lam}: truncated values "
+                f"{', '.join(f'{v:.3g}' for v in values)} are not all finite and positive"
+            )
+    except IntegralOverflowError as exc:
+        if empirical_only:
+            raise
+        return analytic_only(str(exc))
 
     logs = [math.log(v) for v in values]
     xs = [math.log(1.0 / e) for e in ladder]
@@ -324,26 +332,15 @@ def classify_convergence(
     else:
         empirical = "boundary-indeterminate"
 
-    min_exp = min(min(row) for row in spec.exponents)
-    if empirical_only:
-        cls = empirical
-    else:
-        cls = "convergent" if _analytic_convergent(spec) else "divergent"
+    cls = empirical if empirical_only else analytic
 
-    scalar = None
-    note = None
+    scalar, note = None, None
     if want_scalar and cls == "convergent":
         scalar, note = _formal_scalar(spec, lam, min(ladder))
     return ConvergenceReport(
         cls, min_exp, tuple(zip(ladder, values)), fitted, delta_hat,
         empirical, scalar, note,
     )
-
-
-def _analytic_convergent(spec: IntegralSpec) -> bool:
-    if spec.exact_exponents is not None:
-        return all(e > -1 for row in spec.exact_exponents for e in row)
-    return all(e > -1.0 for row in spec.exponents for e in row)
 
 
 def _formal_scalar(spec: IntegralSpec, lam, eps_base: float):
@@ -356,7 +353,7 @@ def _formal_scalar(spec: IntegralSpec, lam, eps_base: float):
     e1, e2 = eps_base * 1e-2, eps_base * 1e-3
     i1 = integrate(replace(spec, eps=e1))[0]
     i2 = integrate(replace(spec, eps=e2))[0]
-    delta = min(min(row) for row in spec.exponents) + 1.0
+    delta = float(min(min(row) for row in spec.exponents)) + 1.0
     rho = 10.0 ** (-delta)
     value = i2 + (i2 - i1) * rho / (1.0 - rho) if rho < 1.0 else i2
     note = "up to normalization (c := 1)"

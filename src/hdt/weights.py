@@ -4,8 +4,10 @@ A weight is a tuple of integer values on the simple coroots
 (fundamental-weight coordinates); it pairs with a root's coroot by an
 integer dot product against the coroot table of `rootsystem`.  Weights of
 compact-part irreducibles are generated by string saturation from the
-highest weight; multiplicities come from the standard recursive formula and
-are only needed for the formal-dimension report, never for convergence.
+highest weight.  Multiplicities come from one Freudenthal recursion per
+weight system, whose memo every weight shares (`weight_multiplicities`);
+they weight the trace in the formal-dimension report and never change a
+convergence verdict.
 """
 
 from __future__ import annotations
@@ -123,67 +125,68 @@ def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
     return KssWeightSystem(pair, start, tuple(sorted(seen, reverse=True)))
 
 
-def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:
-    """Multiplicity of mu in the compact-part irreducible, by the standard
-    recursion descending from the (multiplicity-one) highest weight.
+@lru_cache(maxsize=None)
+def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
+    """Multiplicity of every weight of the compact-part irreducible.
 
     Freudenthal's formula (lam - nu | lam + nu + 2 rho_c) m(nu) =
     2 sum_(alpha, k) m(nu + k alpha) (nu + k alpha | alpha) is used scaled by
     4, which makes both sides integers: with lam - nu = sum n_i alpha_i and x
     the weight coordinates of lam + nu + 2 rho_c, the left factor is
     sum_i n_i x_i 2(alpha_i|alpha_i), and 4 (w|alpha) = w(alpha^vee) 2(alpha|alpha).
+    One memo serves every weight: a breadth-first walk down simple roots
+    from the (multiplicity-one) highest weight reaches each weight after all
+    weights above it, carrying n along.  Cached per weight system.
     """
-    wset = set(ws.weights)
-    if tuple(mu) not in wset:
-        raise ValueError("mu is not a weight of this representation")
-    mu = tuple(int(c) for c in mu)
     rs = ws.pair.root_system
     lam = ws.highest
+    wset = set(ws.weights)
+    nodes = compact_nodes(ws.pair)
     compact_pos = partition_roots(ws.pair).compact_pos
     two_rho_c = rs.weight_coords(root_sum(rs, compact_pos))
-    alphas = [(a, rs.weight_coords(a), rs.coroot(a), rs.inner2(a, a)) for a in compact_pos]
+    alphas = [(rs.weight_coords(a), rs.coroot(a), rs.inner2(a, a)) for a in compact_pos]
     diag = [rs.sym[i][i] for i in range(rs.rank)]
     memo: dict[Weight, int] = {lam: 1}
+    frontier = [(lam, (0,) * rs.rank)]
+    while frontier:
+        nxt = []
+        for mu, n in frontier:
+            for i in nodes:
+                nu = tuple(m - c for m, c in zip(mu, rs.cartan[i]))
+                if nu not in wset or nu in memo:
+                    continue
+                n_nu = tuple(nj + (j == i) for j, nj in enumerate(n))
+                rhs = 0
+                for aw, coroot, nsq2 in alphas:
+                    above = tuple(m + c for m, c in zip(nu, aw))
+                    while above in wset:
+                        rhs += memo[above] * sum(map(mul, above, coroot)) * nsq2
+                        above = tuple(m + c for m, c in zip(above, aw))
+                x = (a + b + c for a, b, c in zip(lam, nu, two_rho_c))
+                denom = sum(ni * xi * di for ni, xi, di in zip(n_nu, x, diag))
+                if denom == 0:
+                    raise StructuralError("vanishing denominator in multiplicity recursion")
+                val, rem = divmod(2 * rhs, denom)
+                if rem or val <= 0:
+                    raise StructuralError(f"non-positive-integer multiplicity {Fraction(2 * rhs, denom)}")
+                memo[nu] = val
+                nxt.append((nu, n_nu))
+        frontier = nxt
+    if len(memo) != len(wset):
+        raise StructuralError("weight support not connected by simple-root strings")
+    return memo
 
-    def mult(nu: Weight, n: tuple[int, ...]) -> int:
-        if nu in memo:
-            return memo[nu]
-        rhs = 0
-        for alpha, aw, coroot, nsq2 in alphas:
-            k = 1
-            while True:
-                above = tuple(m + k * c for m, c in zip(nu, aw))
-                if above not in wset:
-                    break
-                n_above = tuple(ni - k * ai for ni, ai in zip(n, alpha))
-                rhs += mult(above, n_above) * sum(map(mul, above, coroot)) * nsq2
-                k += 1
-        x = (a + b + c for a, b, c in zip(lam, nu, two_rho_c))
-        denom = sum(ni * xi * di for ni, xi, di in zip(n, x, diag))
-        if denom == 0:
-            raise StructuralError("vanishing denominator in multiplicity recursion")
-        val, rem = divmod(2 * rhs, denom)
-        if rem or val <= 0:
-            raise StructuralError(f"non-positive-integer multiplicity {Fraction(2 * rhs, denom)}")
-        memo[nu] = val
-        return val
 
-    # lam - mu lies in the root lattice, so its simple-root coordinates,
-    # sum_j (lam - mu)_j omega_j, are integers
-    diff = [a - b for a, b in zip(lam, mu)]
-    n = tuple(
-        int(sum(d * rs.fundamental_weight(j)[i] for j, d in enumerate(diff)))
-        for i in range(rs.rank)
-    )
-    return mult(mu, n)
+def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:
+    """Multiplicity of mu in the compact-part irreducible."""
+    m = weight_multiplicities(ws).get(tuple(mu))
+    if m is None:
+        raise ValueError("mu is not a weight of this representation")
+    return m
 
 
 def _add(u: Weight, v: Weight) -> Weight:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
-    return {mu: freudenthal_multiplicity(ws, mu) for mu in ws.weights}
 
 
 def _weyl_dimension(pair: HermitianPair, lambda0: Weight) -> Fraction:

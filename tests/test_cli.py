@@ -129,6 +129,17 @@ def test_integrate_divergent_exit_zero():
     assert "divergent" in res.stdout
 
 
+def test_integrate_lost_precision_reports_analytic_verdict():
+    # the su(3,3) ladder cancels at lambda = 0; the exponents still decide
+    res = run_cli("integrate", "su33", "--lambda", "0", "--output", "json")
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert data["classification"] == "divergent"
+    assert data["empirical"] == "not-run"
+    assert data["ladder"] == []
+    assert "lost precision" in data["scalar_note"]
+
+
 def test_integrate_json():
     res = run_cli("integrate", "sp2", "--lambda", "-4", "--output", "json")
     data = json.loads(res.stdout)

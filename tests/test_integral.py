@@ -1,11 +1,11 @@
 """Quadrature correctness against closed forms and convergence classification."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import beta as beta_fn
 
 from hdt.cascade import restricted_root_data
 from hdt.criterion import hc_threshold
@@ -21,7 +21,7 @@ from hdt.integral import (
     empirical_threshold,
     integrate,
 )
-from hdt.weights import extend_compact_coords, weight_system
+from hdt.weights import extend_compact_coords, weight_multiplicities, weight_system
 
 
 def _zero(pair):
@@ -30,9 +30,13 @@ def _zero(pair):
 
 def _spec_r1(exponent, b=0, eps=1e-14, order=16):
     return IntegralSpec(
-        r=1, a=0, b=b, exponents=((float(exponent),),), exact_exponents=None,
+        r=1, a=0, b=b, exponents=((float(exponent),),),
         multiplicities=(1,), eps=eps, order=order,
     )
+
+
+def beta_fn(x, y):
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 @pytest.mark.parametrize("e", [0.0, 0.5, 2.0, 5.0])
@@ -69,7 +73,7 @@ def test_build_integrand_su11():
     ws = weight_system(pr, _zero(pr))
     spec = build_integrand(pr, ws, -2)
     assert spec.exponents == ((0.0,),)
-    assert spec.exact_exponents == ((Fraction(0),),)
+    assert spec.exponents == ((Fraction(0),),)
     spec = build_integrand(pr, ws, 0)
     assert spec.exponents == ((-2.0,),)
 
@@ -125,6 +129,37 @@ def test_multiplicity_irrelevance():
         assert plain.classification == weighted.classification
 
 
+@pytest.mark.parametrize("label,lam0,rows,dim", [
+    ("so2_8", (1, 1, 1, 1), 7, 4096),
+    ("su33", (2, 2, 2, 2), 61, 729),
+], ids=["so2_8", "su33"])
+def test_build_integrand_groups_rows(label, lam0, rows, dim):
+    # one row per distinct exponent row, carrying the summed multiplicities
+    pr = pair_by_label(label)
+    ws = weight_system(pr, extend_compact_coords(pr, lam0))
+    spec = build_integrand(pr, ws, -20, with_multiplicities=True)
+    assert len(spec.exponents) == len(set(spec.exponents)) == rows
+    assert sum(spec.multiplicities) == dim
+    plain = build_integrand(pr, ws, -20)
+    assert plain.exponents == spec.exponents
+    assert sum(plain.multiplicities) == len(ws.weights)
+
+
+def test_grouped_integral_is_the_weighted_trace():
+    # the grouped spec against the trace taken one weight at a time
+    pr = pair_by_label("e7vii")
+    ws = weight_system(pr, extend_compact_coords(pr, (1, 0, 0, 0, 0, 1)))
+    grouped = build_integrand(pr, ws, -24, eps=1e-3, order=8, with_multiplicities=True)
+    assert len(grouped.exponents) < len(ws.weights)
+    mults = weight_multiplicities(ws)
+    trace = 0.0
+    for mu in ws.weights:
+        one = build_integrand(pr, replace(ws, weights=(mu,)), -24, eps=1e-3, order=8)
+        assert one.multiplicities == (1,)
+        trace += mults[mu] * integrate(one)[0]
+    assert integrate(grouped)[0] == pytest.approx(trace, rel=1e-12)
+
+
 def _cube_integral_oracle(exponents, a, b, eps, order=24):
     """Full-cube tensor quadrature of the symmetrized integrand divided by r!.
 
@@ -178,6 +213,17 @@ def test_overflow_signalled():
     spec = _spec_r1(-40.0, eps=1e-10)
     with pytest.raises(IntegralOverflowError):
         integrate(spec)
+
+
+def test_lost_precision_falls_back_to_analytic():
+    # the same cancelling ladder: the exponents still decide the verdict
+    pr = pair_by_label("su33")
+    ws = weight_system(pr, _zero(pr))
+    rep = classify_convergence(pr, ws, 0, order=12)
+    assert rep.classification == "divergent"
+    assert rep.empirical_classification == "not-run"
+    assert rep.truncated_values == ()
+    assert "lost precision" in rep.scalar_note
 
 
 def test_lost_precision_is_a_typed_failure():

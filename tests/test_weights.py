@@ -141,14 +141,22 @@ def test_freudenthal_a2_adjoint_zero_weight():
     assert sum(mults.values()) == 8
 
 
-@pytest.mark.parametrize("label,idx", [("su13", 0), ("su23", 1), ("sp3", 0), ("so2_5", 1)])
-def test_multiplicities_sum_to_weyl_dimension(label, idx):
+@pytest.mark.parametrize("label,lam0,dim", [
+    pytest.param("su13", (1, 0), 3, id="su13-0"),
+    pytest.param("su23", (0, 1, 0), 3, id="su23-1"),
+    pytest.param("sp3", (1, 0), 3, id="sp3-0"),
+    pytest.param("so2_5", (0, 1), 4, id="so2_5-1"),
+    pytest.param("so2_8", (1, 1, 1, 1), 4096, id="so2_8-1111"),
+    pytest.param("su33", (2, 2, 2, 2), 729, id="su33-2222"),
+    pytest.param("e7vii", (1, 0, 0, 0, 0, 1), 650, id="e7vii-100001"),
+])
+def test_multiplicities_sum_to_weyl_dimension(label, lam0, dim):
     # cross-oracle: recursive multiplicities against the dimension formula
     pr = pair_by_label(label)
-    fws = compact_fundamental_weights(pr)
-    lam0 = fws[idx % len(fws)]
-    ws = weight_system(pr, lam0)
-    assert sum(weight_multiplicities(ws).values()) == _weyl_dimension(pr, lam0)
+    full = extend_compact_coords(pr, lam0)
+    ws = weight_system(pr, full)
+    assert _weyl_dimension(pr, full) == dim
+    assert sum(weight_multiplicities(ws).values()) == dim
 
 
 def test_weyl_invariance_of_weight_set():
