@@ -63,7 +63,8 @@ def _get_pair(label: str):
     try:
         return pair_by_label(label)
     except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+        # str() of a KeyError quotes its message
+        raise UsageError(exc.args[0]) from exc
 
 
 def _catalog_rows():

@@ -199,8 +199,13 @@ def integrate(spec: IntegralSpec) -> tuple[float, float]:
     polynomial-like on every panel.
     """
     v1 = _integrate_at_order(spec, spec.order)
-    v2 = _integrate_at_order(spec, spec.order + 8)
+    v2 = _refined(spec)
     return v2, abs(v2 - v1)
+
+
+def _refined(spec: IntegralSpec) -> float:
+    """The value integrate() reports, without the lower order its bound needs."""
+    return _integrate_at_order(spec, spec.order + 8)
 
 
 # -- integrand construction --------------------------------------------------
@@ -305,7 +310,7 @@ def classify_convergence(
         return analytic_only(f"rank above quadrature cap ({MAX_QUADRATURE_RANK})")
     ladder = tuple(sorted(eps_ladder, reverse=True))
     try:
-        values = [integrate(replace(spec, eps=e))[0] for e in ladder]
+        values = [_refined(replace(spec, eps=e)) for e in ladder]
         if not all(math.isfinite(v) and v > 0 for v in values):
             # cancellation in the monomial sum has eaten every significant digit
             raise IntegralOverflowError(
@@ -351,8 +356,8 @@ def _formal_scalar(spec: IntegralSpec, lam, eps_base: float):
     disc factor (k-1)/pi with k = -lambda is applied for display.
     """
     e1, e2 = eps_base * 1e-2, eps_base * 1e-3
-    i1 = integrate(replace(spec, eps=e1))[0]
-    i2 = integrate(replace(spec, eps=e2))[0]
+    i1 = _refined(replace(spec, eps=e1))
+    i2 = _refined(replace(spec, eps=e2))
     delta = float(min(min(row) for row in spec.exponents)) + 1.0
     rho = 10.0 ** (-delta)
     value = i2 + (i2 - i1) * rho / (1.0 - rho) if rho < 1.0 else i2

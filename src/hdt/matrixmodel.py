@@ -7,6 +7,10 @@ upper-triangular / block-diagonal / lower-triangular unipotent pieces, the
 Moebius action, the canonical automorphy factor and its cocycle identity,
 Jacobians, the determinant polynomial h, and the weighted reproducing
 kernel on the unit disc.
+
+Group elements, domain points and factorizations may be stacks: a leading
+batch shape in front of the matrix axes, (..., n, n) and (..., p, q).  A
+single matrix is the 2-D case of the same code.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 MEMBERSHIP_TOL = 1e-10
 ANGULAR = 8  # systematic angles per radial stratum of stratified_disc
 FD_STEP = 1e-5  # central-difference step of jacobian_matrix
+SU_SCALE = 0.6  # default spread of random_su's Lie algebra entries
+MAX_NORM = 0.8  # default bound on random_domain_point's spectral norm
 
 DomainPoint = np.ndarray  # p x q complex, spectral norm < 1
 
@@ -32,8 +37,19 @@ def eta(p: int, q: int) -> np.ndarray:
     return np.diag([1.0] * p + [-1.0] * q).astype(complex)
 
 
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix in a stack."""
+    return np.max(np.abs(x), axis=(-2, -1))
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -2, -1).conj()
+
+
 @dataclass
 class BlockMatrixElement:
+    """An element of U(p,q), or a stack of them when mat is (..., n, n)."""
+
     mat: np.ndarray
     p: int
     q: int
@@ -42,72 +58,134 @@ class BlockMatrixElement:
     def __post_init__(self):
         n = self.p + self.q
         self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.shape != (n, n):
+        if self.mat.shape[-2:] != (n, n):
             raise ValueError(f"expected {n} x {n} matrix")
         if self.check:
             e = eta(self.p, self.q)
-            res = np.max(np.abs(self.mat.conj().T @ e @ self.mat - e))
-            scale = max(1.0, float(np.max(np.abs(self.mat))) ** 2)
-            if res > MEMBERSHIP_TOL * scale:
-                raise ValueError(f"not in U(p,q): invariance residual {res:.3e}")
+            res = _max_abs(_adjoint(self.mat) @ e @ self.mat - e)
+            bad = res > MEMBERSHIP_TOL * np.maximum(1.0, _max_abs(self.mat) ** 2)
+            if np.any(bad):
+                raise ValueError(f"not in U(p,q): invariance residual {np.max(res[bad]):.3e}")
 
     @property
     def A(self) -> np.ndarray:
-        return self.mat[: self.p, : self.p]
+        return self.mat[..., : self.p, : self.p]
 
     @property
     def B(self) -> np.ndarray:
-        return self.mat[: self.p, self.p :]
+        return self.mat[..., : self.p, self.p :]
 
     @property
     def C(self) -> np.ndarray:
-        return self.mat[self.p :, : self.p]
+        return self.mat[..., self.p :, : self.p]
 
     @property
     def D(self) -> np.ndarray:
-        return self.mat[self.p :, self.p :]
+        return self.mat[..., self.p :, self.p :]
 
     @property
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.mat))
+    def det(self) -> complex | np.ndarray:
+        return np.linalg.det(self.mat)
 
     def __matmul__(self, other: "BlockMatrixElement") -> "BlockMatrixElement":
         return BlockMatrixElement(self.mat @ other.mat, self.p, self.q)
 
     def inverse(self) -> "BlockMatrixElement":
         e = eta(self.p, self.q)
-        return BlockMatrixElement(e @ self.mat.conj().T @ e, self.p, self.q)
+        return BlockMatrixElement(e @ _adjoint(self.mat) @ e, self.p, self.q)
 
 
 def identity_element(p: int, q: int) -> BlockMatrixElement:
     return BlockMatrixElement(np.eye(p + q, dtype=complex), p, q)
 
 
-def random_su(rng: np.random.Generator, p: int, q: int, scale: float = 0.6) -> BlockMatrixElement:
+# Higham, "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26 (2005): the [13/13] Pade
+# coefficients, and the 1-norm up to which that approximant needs no scaling
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a matrix or a stack (..., n, n).
+
+    [13/13] Pade approximation with scaling and squaring (Higham 2005).  Each
+    matrix is scaled by its own power of two, so a stack gives the same
+    result as its matrices one at a time.
+    """
+    a = np.asarray(a)
+    b = _PADE13
+    # 2^s >= ||a||_1 / theta_13; frexp gives s without a log of zero
+    s = np.maximum(0, np.frexp(np.max(np.sum(np.abs(a), axis=-2), axis=-1) / _THETA13)[1])
+    x = a / (2.0 ** s)[..., None, None]
+    ident = np.eye(a.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(np.max(s, initial=0))):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r
+
+
+def _su_size(p: int, q: int) -> int:
+    """Standard normals that one random_su draw consumes."""
+    return 2 * (p * p + q * q + p * q)
+
+
+def _su_algebra(x: np.ndarray, p: int, q: int, scale: float) -> np.ndarray:
+    """Traceless u(p,q) elements from standard normals x (..., _su_size(p, q)).
+
+    x holds, real parts before imaginary parts, the p x p and q x q blocks
+    made anti-Hermitian and then the p x q off-diagonal block b (with b* below
+    the diagonal), every entry scaled by scale.
+    """
+    lead, n = x.shape[:-1], p + q
+    blocks, off = [], 0
+    for rows, cols in ((p, p), (q, q), (p, q)):
+        size = rows * cols
+        re = x[..., off : off + size].reshape(lead + (rows, cols))
+        im = x[..., off + size : off + 2 * size].reshape(lead + (rows, cols))
+        blocks.append(scale * (re + 1j * im))
+        off += 2 * size
+    a, d, b = blocks
+    out = np.zeros(lead + (n, n), dtype=complex)
+    out[..., :p, :p] = (a - _adjoint(a)) / 2
+    out[..., p:, p:] = (d - _adjoint(d)) / 2
+    out[..., :p, p:], out[..., p:, :p] = b, _adjoint(b)
+    out -= (np.trace(out, axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n)
+    return out
+
+
+def _domain_point(x: np.ndarray, u, p: int, q: int, max_norm: float) -> np.ndarray:
+    """Domain points from standard normals x (..., 2pq), real parts first,
+    rescaled to spectral norm max_norm * u."""
+    lead = x.shape[:-1]
+    z = x[..., : p * q].reshape(lead + (p, q)) + 1j * x[..., p * q :].reshape(lead + (p, q))
+    target = max_norm * np.asarray(u)
+    return z * (target / np.linalg.norm(z, 2, axis=(-2, -1)))[..., None, None]
+
+
+def random_su(
+    rng: np.random.Generator, p: int, q: int, scale: float = SU_SCALE
+) -> BlockMatrixElement:
     """exp of a random traceless element of the u(p,q) Lie algebra."""
-    n = p + q
-    a = _random_anti_hermitian(rng, p, scale)
-    d = _random_anti_hermitian(rng, q, scale)
-    b = scale * (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)))
-    x = np.zeros((n, n), dtype=complex)
-    x[:p, :p], x[:p, p:], x[p:, :p], x[p:, p:] = a, b, b.conj().T, d
-    x -= (np.trace(x) / n) * np.eye(n)
+    x = _su_algebra(rng.standard_normal(_su_size(p, q)), p, q, scale)
     return BlockMatrixElement(expm(x), p, q)
-
-
-def _random_anti_hermitian(rng, n, scale):
-    x = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return (x - x.conj().T) / 2
 
 
 def random_block_unitary(rng: np.random.Generator, p: int, q: int) -> BlockMatrixElement:
     """Random element of U(p) x U(q) with unit determinant."""
-    n = p + q
-    x = np.zeros((n, n), dtype=complex)
-    x[:p, :p] = _random_anti_hermitian(rng, p, 1.0)
-    x[p:, p:] = _random_anti_hermitian(rng, q, 1.0)
-    x -= (np.trace(x) / n) * np.eye(n)
-    return BlockMatrixElement(expm(x), p, q)
+    # the random_su draw with unit spread and a zero off-diagonal block
+    x = np.concatenate([rng.standard_normal(2 * (p * p + q * q)), np.zeros(2 * p * q)])
+    return BlockMatrixElement(expm(_su_algebra(x, p, q, 1.0)), p, q)
 
 
 def torus_element(t, p: int, q: int) -> BlockMatrixElement:
@@ -126,11 +204,32 @@ def torus_element(t, p: int, q: int) -> BlockMatrixElement:
 
 
 def random_domain_point(
-    rng: np.random.Generator, p: int, q: int, max_norm: float = 0.8
+    rng: np.random.Generator, p: int, q: int, max_norm: float = MAX_NORM
 ) -> np.ndarray:
-    z = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
-    target = max_norm * rng.uniform(0.1, 1.0)
-    return z * (target / np.linalg.norm(z, 2))
+    x = rng.standard_normal(2 * p * q)
+    return _domain_point(x, rng.uniform(0.1, 1.0), p, q, max_norm)
+
+
+def random_triples(
+    rng: np.random.Generator, p: int, q: int, n: int
+) -> tuple[BlockMatrixElement, BlockMatrixElement, np.ndarray]:
+    """n triples (g1, g2, z) as two stacked group elements and a stack of
+    domain points.
+
+    Each triple takes from rng exactly what random_su, random_su and
+    random_domain_point take in turn with their default spreads, and the
+    arithmetic after the draws is theirs applied to the stacks, so the
+    values are theirs bit for bit.
+    """
+    k = _su_size(p, q)
+    normals = np.empty((n, 2 * k + 2 * p * q))
+    uniforms = np.empty(n)
+    for i in range(n):
+        normals[i] = rng.standard_normal(normals.shape[1])
+        uniforms[i] = rng.uniform(0.1, 1.0)
+    g1 = BlockMatrixElement(expm(_su_algebra(normals[:, :k], p, q, SU_SCALE)), p, q)
+    g2 = BlockMatrixElement(expm(_su_algebra(normals[:, k : 2 * k], p, q, SU_SCALE)), p, q)
+    return g1, g2, _domain_point(normals[:, 2 * k :], uniforms, p, q, MAX_NORM)
 
 
 # -- factorization and action -------------------------------------------------
@@ -142,7 +241,7 @@ class FactorizationResult:
     k_plus: np.ndarray  # p x p block of the automorphy factor
     k_minus: np.ndarray  # q x q block of the automorphy factor
     y: np.ndarray  # lower unipotent part
-    residual: float  # reassembly error against g . exp(z)
+    residual: float | np.ndarray  # reassembly error against g . exp(z), per stacked element
 
 
 def hc_factorize(g: BlockMatrixElement, z: np.ndarray) -> FactorizationResult:
@@ -150,34 +249,38 @@ def hc_factorize(g: BlockMatrixElement, z: np.ndarray) -> FactorizationResult:
 
     With M = g [[I, z], [0, I]] = [[A', B'], [C', D']] the pieces are
     w = B' D'^-1, k_minus = D', k_plus = A' - B' D'^-1 C', y = D'^-1 C'.
-    Raises OutsideCellError when D' is singular, which cannot happen for
+    Stacks of g and z broadcast against each other.  Raises
+    OutsideCellError when some D' is singular, which cannot happen for
     group elements acting on interior points.
     """
-    p, q = g.p, g.q
     z = np.asarray(z, dtype=complex)
     a, b = g.A, g.A @ z + g.B
     c, d = g.C, g.C @ z + g.D
     _require_invertible(d, g, z)
     try:
-        dinv_c = np.linalg.solve(d, c)
-        w = np.linalg.solve(d.T, b.T).T
+        y = np.linalg.solve(d, c)
+        w = _right_divide(b, d)
     except np.linalg.LinAlgError as exc:
         raise OutsideCellError("lower-right block is singular") from exc
     k_plus = a - w @ c
-    k_minus = d
-    m = np.block([[a, b], [c, d]])
-    upper = np.block([[np.eye(p), w], [np.zeros((q, p)), np.eye(q)]])
-    diag = np.block([[k_plus, np.zeros((p, q))], [np.zeros((q, p)), k_minus]])
-    lower = np.block([[np.eye(p), np.zeros((p, q))], [dinv_c, np.eye(q)]])
-    res = np.max(np.abs(upper @ diag @ lower - m)) / max(1.0, float(np.max(np.abs(m))))
-    return FactorizationResult(w, k_plus, k_minus, dinv_c, float(res))
+    # upper . diag . lower = [[k_plus + w D' y, w D'], [D' y, D']]
+    wd = w @ d
+    res = np.maximum(np.maximum(_max_abs(k_plus + wd @ y - a), _max_abs(wd - b)),
+                     _max_abs(d @ y - c))
+    scale = np.maximum(np.maximum(_max_abs(a), _max_abs(b)), np.maximum(_max_abs(c), _max_abs(d)))
+    return FactorizationResult(w, k_plus, d, y, res / np.maximum(1.0, scale))
+
+
+def _right_divide(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """b d^-1, through the transposed system."""
+    return np.swapaxes(np.linalg.solve(np.swapaxes(d, -2, -1), np.swapaxes(b, -2, -1)), -2, -1)
 
 
 def _require_invertible(d: np.ndarray, g: BlockMatrixElement, z: np.ndarray):
-    # relative smallest singular value; g . exp(z) leaves the factorizable
-    # cell exactly when this block degenerates
-    scale = max(1.0, float(np.max(np.abs(g.mat)))) * max(1.0, float(np.max(np.abs(z))))
-    if np.linalg.svd(d, compute_uv=False)[-1] <= 1e-13 * scale:
+    # relative smallest singular value of each stacked block; g . exp(z)
+    # leaves the factorizable cell exactly when this block degenerates
+    scale = np.maximum(1.0, _max_abs(g.mat)) * np.maximum(1.0, _max_abs(z))
+    if np.any(np.linalg.svd(d, compute_uv=False)[..., -1] <= 1e-13 * scale):
         raise OutsideCellError("lower-right block is singular: outside the open cell")
 
 
@@ -188,7 +291,7 @@ def mobius_action(g: BlockMatrixElement, z: np.ndarray) -> np.ndarray:
     den = g.C @ z + g.D
     _require_invertible(den, g, z)
     try:
-        return np.linalg.solve(den.T, num.T).T
+        return _right_divide(num, den)
     except np.linalg.LinAlgError as exc:
         raise OutsideCellError("lower-right block is singular") from exc
 
@@ -370,12 +473,13 @@ def cayley_verify(r: int, p: int, q: int) -> float:
     if r > min(p, q):
         raise ValueError("rank exceeds min(p, q)")
     n = p + q
-    gen = np.zeros((n, n))
+    # exp((pi/4)(e_{j,p+j} - e_{p+j,j})) is the rotation by pi/4 in plane j
+    c, s = math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)
+    u = np.eye(n)
     for j in range(r):
-        gen[j, p + j] = 1.0
-        gen[p + j, j] = -1.0
-    u = expm((np.pi / 4.0) * gen)
-    uinv = expm(-(np.pi / 4.0) * gen)
+        u[j, j] = u[p + j, p + j] = c
+        u[j, p + j], u[p + j, j] = s, -s
+    uinv = u.T
 
     worst = 0.0
     for j in range(r):

@@ -75,7 +75,8 @@ def test_exit_codes_matrix():
     assert run_cli("criterion", "sp2", "--lambda", "-2.0").returncode == 3
     assert run_cli("criterion", "su11", "--lambda", "-1").returncode == 3
     # 2: usage errors
-    assert run_cli("analyze", "bogus").returncode == 2
+    res = run_cli("analyze", "bogus")
+    assert (res.returncode, res.stderr) == (2, "error: unknown pair label 'bogus'\n")
     assert run_cli("criterion", "bogus", "--lambda", "-2").returncode == 2
     assert run_cli("criterion", "su11", "--lambda", "1e-3").returncode == 2
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "1").returncode == 2
@@ -89,6 +90,29 @@ def test_exit_codes_matrix():
     res = run_cli("verify", "numeric", "--fast", "--seed", "1", "--tol-scale", "1e-18")
     assert res.returncode == 1
     assert "FAIL" in res.stdout
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # start-up cost: `hdt` and `hdt verify numeric` load no other package;
+    # cython_runtime and _cython_* are bookkeeping that numpy's compiled
+    # extensions register
+    code = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded():\n"
+        "    tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "    tops -= set(sys.stdlib_module_names) | {'hdt', 'numpy', 'cython_runtime'}\n"
+        "    return sorted(t for t in tops if not t.startswith('_cython_'))\n"
+        "import hdt.cli\n"
+        "after_import = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hdt.cli.main(['verify', 'numeric', '--fast'])\n"
+        "print(json.dumps([after_import, loaded(), code]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[], [], 0]
 
 
 def test_verify_exact_ignores_tol_scale():

@@ -236,6 +236,29 @@ def test_lost_precision_is_a_typed_failure():
         empirical_threshold(pr, _zero(pr))
 
 
+def test_ladder_evaluates_each_eps_at_one_order(monkeypatch):
+    # the ladder keeps only the value integrate() reports, so each eps costs
+    # that one quadrature order, not the two its error bound needs
+    import hdt.integral as integral
+
+    orders = []
+    evaluate = integral._integrate_at_order
+
+    def counted(spec, order):
+        orders.append(order)
+        return evaluate(spec, order)
+
+    monkeypatch.setattr(integral, "_integrate_at_order", counted)
+    pr = pair_by_label("su11")
+    ws = weight_system(pr, _zero(pr))
+    rep = classify_convergence(pr, ws, -3)
+    assert orders == [24] * 4
+    spec = build_integrand(pr, ws, -3)
+    assert rep.truncated_values == tuple(
+        (e, integrate(replace(spec, eps=e))[0]) for e in (1e-2, 1e-3, 1e-4, 1e-5)
+    )
+
+
 def test_empirical_threshold_su11():
     thr = empirical_threshold(pair_by_label("su11"), (Fraction(0),))
     assert abs(thr - (-1.0)) <= 0.05

@@ -10,6 +10,7 @@ from hdt.matrixmodel import (
     OutsideCellError,
     cayley_verify,
     eta,
+    expm,
     h_polynomial,
     hc_factorize,
     identity_element,
@@ -21,6 +22,7 @@ from hdt.matrixmodel import (
     random_block_unitary,
     random_domain_point,
     random_su,
+    random_triples,
     sample_disc,
     stratified_disc,
     torus_element,
@@ -220,8 +222,6 @@ def test_cayley_quarter_rotation():
 
 def test_cayley_fixes_commuting_elements():
     # an element commuting with all e_j - e_{-j} is fixed by the conjugation
-    from scipy.linalg import expm
-
     p = q = 2
     n = p + q
     gen = np.zeros((n, n))
@@ -231,6 +231,85 @@ def test_cayley_fixes_commuting_elements():
     u = expm((np.pi / 4) * gen)
     x = gen.copy()  # commutes with itself
     assert np.allclose(u @ x @ np.linalg.inv(u), x)
+
+
+def test_expm_closed_forms():
+    # exp of sum t_j (e_j + e_{-j}) is the cosh/sinh torus element
+    p, q, t = 2, 3, [0.4, -2.5]
+    x = np.zeros((p + q, p + q))
+    for j, tj in enumerate(t):
+        x[j, p + j] = x[p + j, j] = tj
+    assert np.max(np.abs(expm(x) - torus_element(t, p, q).mat)) < 1e-14 * math.cosh(2.5)
+    # exp((pi/4)(e_{j,p+j} - e_{p+j,j})) is the quarter rotation in that plane
+    gen = np.zeros((4, 4))
+    gen[0, 2], gen[2, 0] = 1.0, -1.0
+    c = math.sqrt(0.5)
+    want = np.array([[c, 0, c, 0], [0, 1, 0, 0], [-c, 0, c, 0], [0, 0, 0, 1]])
+    assert np.max(np.abs(expm((np.pi / 4) * gen) - want)) < 1e-15
+    assert np.max(np.abs(expm(np.zeros((3, 3))) - np.eye(3))) < 1e-15
+
+
+def test_expm_group_laws_on_stacks():
+    rng = np.random.default_rng(17)
+    for (p, q) in [(1, 1), (2, 3)]:
+        n, e = p + q, eta(p, q)
+        y = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
+        # X^* eta + eta X = 0 and tr X = 0: random elements of su(p,q)
+        alg = (y - e @ np.swapaxes(y, -2, -1).conj() @ e) / 2
+        alg -= (np.trace(alg, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+        g, ginv = expm(alg), expm(-alg)
+        assert np.max(np.abs(g @ ginv - np.eye(n))) < 1e-12
+        assert np.max(np.abs(np.linalg.det(g) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.swapaxes(g, -2, -1).conj() @ e @ g - e)) < 1e-12
+        # a stack gives what its matrices give one at a time
+        assert np.array_equal(g, np.stack([expm(a) for a in alg]))
+
+
+def test_stacked_factorization_matches_single():
+    rng = np.random.default_rng(23)
+    for (p, q) in [(1, 1), (1, 2), (2, 3)]:
+        g1, g2, z = random_triples(rng, p, q, 40)
+        g = g1 @ g2
+        f = hc_factorize(g, z)
+        w = mobius_action(g, z)
+        assert f.residual.shape == (40,)
+        for i in range(40):
+            gi = BlockMatrixElement(g.mat[i], p, q)
+            fi = hc_factorize(gi, z[i])
+            for got, want in ((f.w, fi.w), (f.k_plus, fi.k_plus), (f.k_minus, fi.k_minus),
+                              (f.y, fi.y), (w, mobius_action(gi, z[i]))):
+                assert np.max(np.abs(got[i] - want)) <= 1e-14
+            assert abs(f.residual[i] - fi.residual) <= 1e-14
+
+
+def test_stacked_checks_cover_every_element():
+    rng = np.random.default_rng(29)
+    g1, _, z = random_triples(rng, 1, 1, 5)
+    mats = g1.mat.copy()
+    mats[3] *= 2.0  # leaves U(1,1)
+    with pytest.raises(ValueError):
+        BlockMatrixElement(mats, 1, 1)
+    # one point outside the disc where c z + d vanishes
+    g = torus_element([1.0], 1, 1)
+    a, b = g.mat[0, 0], g.mat[0, 1]
+    stack = BlockMatrixElement(np.stack([g.mat] * 5), 1, 1)
+    z = z.copy()
+    z[2] = -np.conj(a) / np.conj(b)
+    with pytest.raises(OutsideCellError):
+        hc_factorize(stack, z)
+    with pytest.raises(OutsideCellError):
+        mobius_action(stack, z)
+
+
+def test_random_triples_follow_the_sequential_stream():
+    for (p, q) in [(1, 1), (2, 2), (2, 3)]:
+        batched, sequential = np.random.default_rng(5), np.random.default_rng(5)
+        g1, g2, z = random_triples(batched, p, q, 30)
+        for i in range(30):
+            assert np.array_equal(g1.mat[i], random_su(sequential, p, q).mat)
+            assert np.array_equal(g2.mat[i], random_su(sequential, p, q).mat)
+            assert np.array_equal(z[i], random_domain_point(sequential, p, q))
+        assert batched.random() == sequential.random()
 
 
 def test_reproducing_kernel_normalization():
