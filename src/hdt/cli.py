@@ -17,7 +17,7 @@ from fractions import Fraction
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
 from .criterion import HighestWeightInput, hc_condition, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
-from .integral import IntegralOverflowError, classify_convergence
+from .integral import MAX_QUADRATURE_RANK, build_integrand, classify_convergence, formal_scalar
 from .suite import run_suite
 from .weights import extend_compact_coords, weight_system
 
@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_EXISTS = 3
+
+# formal_scalar extrapolates from eps * 1e-3, where 1 - x^2 must still be
+# a nonzero double next to x = 1 - eps * 1e-3
+MIN_EPS = 1e-12
 
 
 def fmt(x) -> str:
@@ -214,8 +218,8 @@ def cmd_integrate(args) -> int:
         ladder = tuple(float(e) for e in args.eps.split(","))
     except ValueError as exc:
         raise UsageError(f"bad eps ladder: {exc}") from exc
-    if any(not 0 < e < 1 for e in ladder):
-        raise UsageError("eps values must be in (0, 1)")
+    if any(not MIN_EPS <= e < 1 for e in ladder):
+        raise UsageError(f"eps values must be in [{MIN_EPS:g}, 1)")
     if len(ladder) < 3:
         raise UsageError("eps ladder needs at least three values")
     if len(set(ladder)) != len(ladder):
@@ -224,14 +228,13 @@ def cmd_integrate(args) -> int:
         raise UsageError("order must be at least 1")
     ws = weight_system(pair, lam0)
     rd = restricted_root_data(pair)
-    try:
-        report = classify_convergence(
-            pair, ws, lam, eps_ladder=ladder, order=args.order,
-            want_scalar=True, with_multiplicities=True,
-        )
-    except IntegralOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    # above the rank cap only the exponents are read: skip the multiplicities
+    spec = build_integrand(pair, ws, lam, order=args.order,
+                           with_multiplicities=rd.r <= MAX_QUADRATURE_RANK)
+    report = classify_convergence(spec, ladder)
+    scalar, note = None, report.note
+    if report.classification == "convergent" and report.empirical_classification != "not-run":
+        scalar, note = formal_scalar(spec, lam, min(ladder))
 
     if args.output == "json":
         data = {
@@ -247,8 +250,8 @@ def cmd_integrate(args) -> int:
             "ladder": [{"eps": e, "estimate": v} for e, v in report.truncated_values],
             "fitted_slope": report.fitted_slope,
             "increment_exponent": report.increment_exponent,
-            "formal_dimension_scalar": report.formal_dimension_scalar,
-            "scalar_note": report.scalar_note,
+            "formal_dimension_scalar": scalar,
+            "scalar_note": note,
         }
         print(json.dumps(data, indent=2))
         return EXIT_OK
@@ -256,7 +259,7 @@ def cmd_integrate(args) -> int:
     print(f"pair {pair.label}  lambda {lam}  rank r = {rd.r}  genus p = {rd.p}")
     print(f"weights in trace: {len(ws.weights)}  min exponent: {fmt(report.min_exponent)}")
     if report.empirical_classification == "not-run":
-        print(report.scalar_note)
+        print(report.note)
     else:
         print("eps ladder (truncated integrals):")
         for e, v in report.truncated_values:
@@ -265,8 +268,8 @@ def cmd_integrate(args) -> int:
         print(f"increment exponent estimate: {fmt(report.increment_exponent)}")
         print(f"empirical classification: {report.empirical_classification}")
     print(f"classification: {report.classification}")
-    if report.formal_dimension_scalar is not None:
-        print(f"formal dimension scalar: {fmt(report.formal_dimension_scalar)}  [{report.scalar_note}]")
+    if scalar is not None:
+        print(f"formal dimension scalar: {fmt(scalar)}  [{note}]")
     return EXIT_OK
 
 

@@ -3,10 +3,13 @@
 The integrand is a sum over compact-part weights of products
 (1-x_j^2)^E_{s,j} times the restricted-root polynomial P(x), integrated over
 0 <= x_1 <= ... <= x_r <= 1-eps.  Convergence is decided analytically from
-the exponents (finite iff every E_{s,j} > -1) and corroborated numerically;
-quadrature is tensorized Gauss-Legendre on panels geometrically graded
-toward the singular face, with the ordering handled by nested cumulative
-integration (exact on each panel for polynomial degree below the order).
+the exponents (finite iff every E_{s,j} > -1) and corroborated numerically
+on an eps-ladder of truncations; each caller decides what to do with the
+report (`hdt integrate` adds the formal-dimension scalar, the threshold
+bisection reads only the empirical exponent).  Quadrature is tensorized
+Gauss-Legendre on panels geometrically graded toward the singular face,
+with the ordering handled by nested cumulative integration (exact on each
+panel for polynomial degree below the order).
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ from .weights import (
 
 
 class IntegralOverflowError(ArithmeticError):
-    """Intermediate values left the double range, or cancellation left a
-    truncated value that is not positive; exponents too negative for the
-    chosen truncation."""
+    """Intermediate values left the double range; exponents too negative
+    for the chosen truncation."""
 
 
 class ConfigurationError(RuntimeError):
-    """Bisection could not bracket the threshold."""
+    """Bisection could not bracket the threshold, or a probe's eps ladder
+    did not run."""
 
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -60,14 +63,13 @@ class IntegralSpec:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    classification: str  # convergent | divergent | boundary-indeterminate
+    classification: str  # analytic: convergent | divergent
     min_exponent: float
     truncated_values: tuple[tuple[float, float], ...]  # (eps, estimate)
     fitted_slope: float  # log-estimate vs log(1/eps), least squares
     increment_exponent: float  # decade ratio of successive increments
-    empirical_classification: str
-    formal_dimension_scalar: float | None  # up to normalization (c := 1)
-    scalar_note: str | None
+    empirical_classification: str  # convergent | divergent | boundary-indeterminate | not-run
+    note: str | None  # why the empirical part did not run
 
 
 # -- quadrature machinery ---------------------------------------------------
@@ -174,7 +176,7 @@ def _integrate_at_order(spec: IntegralSpec, order: int) -> float:
     xpow = {int(q): x ** int(q) for q in np.unique(powers)}
 
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for mult, exps in zip(spec.multiplicities, np.array(spec.exponents, dtype=float)):
             h = None
             for j in range(spec.r):
@@ -276,51 +278,37 @@ def _increment_exponent(values: list[float]) -> float:
 
 
 def classify_convergence(
-    pair: HermitianPair,
-    ws: KssWeightSystem,
-    lam,
-    eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
-    order: int = 16,
-    empirical_only: bool = False,
-    want_scalar: bool = False,
-    with_multiplicities: bool = False,
+    spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEFAULT_LADDER
 ) -> ConvergenceReport:
     """Analytic classification from the exponents, corroborated on an
-    eps-ladder of truncated integrals.
+    eps-ladder of truncated integrals (spec.eps is replaced by each rung).
 
-    Above the rank cap, or when the ladder overflows or cancels, the
-    empirical part is "not-run" and the note says why.  With
-    empirical_only=True the verdict comes from the increment-ratio exponent
-    alone (boundary-indeterminate inside a small band, not guessed), and a
-    failed ladder raises IntegralOverflowError.
+    The classification is always the analytic verdict.  The empirical one
+    comes from the increment-ratio exponent alone (boundary-indeterminate
+    inside a small band, not guessed).  Above the rank cap, or when the
+    ladder overflows or cancels, it is "not-run" and the note says why.
     """
-    rd = restricted_root_data(pair)
-    quadrature = rd.r <= MAX_QUADRATURE_RANK
-    spec = build_integrand(pair, ws, lam, order=order,
-                           with_multiplicities=with_multiplicities and quadrature)
     min_exp = float(min(min(row) for row in spec.exponents))
     # finite iff every exponent exceeds -1
     analytic = "convergent" if all(e > -1 for row in spec.exponents for e in row) else "divergent"
 
     def analytic_only(reason: str) -> ConvergenceReport:
         return ConvergenceReport(analytic, min_exp, (), float("nan"), float("nan"),
-                                 "not-run", None, f"{reason}; analytic classification only")
+                                 "not-run", f"{reason}; analytic classification only")
 
-    if not quadrature:
+    if spec.r > MAX_QUADRATURE_RANK:
         return analytic_only(f"rank above quadrature cap ({MAX_QUADRATURE_RANK})")
     ladder = tuple(sorted(eps_ladder, reverse=True))
     try:
         values = [_refined(replace(spec, eps=e)) for e in ladder]
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            # cancellation in the monomial sum has eaten every significant digit
-            raise IntegralOverflowError(
-                f"quadrature lost precision at lambda = {lam}: truncated values "
-                f"{', '.join(f'{v:.3g}' for v in values)} are not all finite and positive"
-            )
     except IntegralOverflowError as exc:
-        if empirical_only:
-            raise
         return analytic_only(str(exc))
+    if not all(v > 0 for v in values):
+        # cancellation in the monomial sum has eaten every significant digit
+        return analytic_only(
+            f"quadrature lost precision: truncated values "
+            f"{', '.join(f'{v:.3g}' for v in values)} are not all finite and positive"
+        )
 
     logs = [math.log(v) for v in values]
     xs = [math.log(1.0 / e) for e in ladder]
@@ -336,21 +324,17 @@ def classify_convergence(
         empirical = "divergent"
     else:
         empirical = "boundary-indeterminate"
-
-    cls = empirical if empirical_only else analytic
-
-    scalar, note = None, None
-    if want_scalar and cls == "convergent":
-        scalar, note = _formal_scalar(spec, lam, min(ladder))
     return ConvergenceReport(
-        cls, min_exp, tuple(zip(ladder, values)), fitted, delta_hat,
-        empirical, scalar, note,
+        analytic, min_exp, tuple(zip(ladder, values)), fitted, delta_hat, empirical, None,
     )
 
 
-def _formal_scalar(spec: IntegralSpec, lam, eps_base: float):
-    """Value of the full integral, tail-extrapolated with the known exponent.
+def formal_scalar(spec: IntegralSpec, lam, eps_base: float) -> tuple[float, str]:
+    """Value of the full integral, tail-extrapolated with the known exponent;
+    returns (value, note).
 
+    Meaningful for a convergent spec whose ladder ran down to eps_base: the
+    tail is extrapolated from truncations at eps_base * 1e-2 and * 1e-3.
     All constants the polar-coordinate formula leaves unpinned are set to 1,
     so this is meaningful up to normalization only; in rank one the familiar
     disc factor (k-1)/pi with k = -lambda is applied for display.
@@ -382,18 +366,16 @@ def empirical_threshold(
     """Recover the critical lambda by bisection on the empirical verdict only.
 
     The analytic exponent test is deliberately not consulted; each probe
-    classifies the eps-ladder increments.  Raises ConfigurationError if no
-    bracket can be found, or if a probe's quadrature loses precision.
+    builds the unit-weight spec and reads the increment exponent of its
+    eps ladder.  Raises ConfigurationError if no bracket can be found, or
+    if a probe's ladder did not run (rank cap, overflow, lost precision).
     """
     ws = weight_system(pair, lambda0)
 
     def empirically_convergent(lam: float) -> bool:
-        try:
-            rep = classify_convergence(
-                pair, ws, lam, eps_ladder=eps_ladder, order=order, empirical_only=True
-            )
-        except IntegralOverflowError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        rep = classify_convergence(build_integrand(pair, ws, lam, order=order), eps_ladder)
+        if rep.empirical_classification == "not-run":
+            raise ConfigurationError(f"eps ladder not run at lambda = {lam}: {rep.note}")
         return rep.increment_exponent > 0.0
 
     hi = 0.0

@@ -71,6 +71,8 @@ def test_exit_codes_matrix():
     # 0: success / exists
     assert run_cli("catalog").returncode == 0
     assert run_cli("criterion", "su11", "--lambda", "-2").returncode == 0
+    res = run_cli("integrate", "su11", "--lambda", "-1.5", "--eps", "1e-10,1e-11,1e-12")
+    assert res.returncode == 0
     # 3: criterion negative (boundary is strict, parsed as an exact decimal)
     assert run_cli("criterion", "sp2", "--lambda", "-2.0").returncode == 3
     assert run_cli("criterion", "su11", "--lambda", "-1").returncode == 3
@@ -82,7 +84,9 @@ def test_exit_codes_matrix():
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "1").returncode == 2
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "-1,0").returncode == 2
     assert run_cli("nonsense").returncode == 2
-    for bad in (("--eps", "1e-2,1e-3"), ("--eps", "1e-2,1e-2,1e-2"), ("--order", "0")):
+    # below eps = 1e-12 the scalar's tail truncations round 1 - x^2 to 0
+    for bad in (("--eps", "1e-2,1e-3"), ("--eps", "1e-2,1e-2,1e-2"), ("--order", "0"),
+                ("--eps", "1e-14,1e-15,1e-16"), ("--eps", "1e-12,1e-13,1e-14")):
         res = run_cli("integrate", "su11", "--lambda", "-3", *bad)
         assert res.returncode == 2, bad
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr

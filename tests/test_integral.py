@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hdt.cascade import restricted_root_data
+from hdt.cascade import restricted_root_data, weyl_polynomial
 from hdt.criterion import hc_threshold
-from hdt.hermitian import pair_by_label
+from hdt.hermitian import catalog, pair_by_label
 from hdt.integral import (
+    MAX_QUADRATURE_RANK,
     ConfigurationError,
     IntegralOverflowError,
     IntegralSpec,
@@ -95,8 +96,8 @@ def test_classification_matches_criterion():
         lam0 = _zero(pr)
         ws = weight_system(pr, lam0)
         thr = hc_threshold(pr, lam0)
-        below = classify_convergence(pr, ws, thr - 1)
-        above = classify_convergence(pr, ws, thr + 1)
+        below = classify_convergence(build_integrand(pr, ws, thr - 1))
+        above = classify_convergence(build_integrand(pr, ws, thr + 1))
         assert below.classification == "convergent"
         assert below.min_exponent == pytest.approx(0.0)
         assert above.classification == "divergent"
@@ -109,11 +110,9 @@ def test_classification_matches_criterion():
 def test_boundary_flagged_indeterminate():
     pr = pair_by_label("su11")
     ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(pr, ws, -1, empirical_only=True)
+    rep = classify_convergence(build_integrand(pr, ws, -1))
     assert rep.empirical_classification == "boundary-indeterminate"
-    assert rep.classification == "boundary-indeterminate"
-    # analytic mode decides divergent at the exact boundary (strict inequality)
-    rep = classify_convergence(pr, ws, -1)
+    # the analytic verdict is divergent at the exact boundary (strict inequality)
     assert rep.classification == "divergent"
 
 
@@ -124,8 +123,8 @@ def test_multiplicity_irrelevance():
     ws = weight_system(pr, lam0)
     thr = hc_threshold(pr, lam0)
     for lam in (thr - 1, thr + 1):
-        plain = classify_convergence(pr, ws, lam)
-        weighted = classify_convergence(pr, ws, lam, with_multiplicities=True)
+        plain = classify_convergence(build_integrand(pr, ws, lam))
+        weighted = classify_convergence(build_integrand(pr, ws, lam, with_multiplicities=True))
         assert plain.classification == weighted.classification
 
 
@@ -200,6 +199,24 @@ def test_simplex_equals_symmetrized_cube():
         assert val == pytest.approx(oracle, rel=1e-8)
 
 
+def test_monomial_expansion_matches_weyl_polynomial():
+    # sum of c * prod x^p against the closed-form product, for every
+    # restricted-root type (r, a, b) of the catalog inside the quadrature cap
+    types = {}
+    for pr in catalog():
+        rd = restricted_root_data(pr)
+        if rd.r <= MAX_QUADRATURE_RANK:
+            types.setdefault((rd.r, rd.a, rd.b), rd)
+    assert len(types) == 33
+    rng = np.random.default_rng(0)
+    for (r, a, b), rd in types.items():
+        coeffs, powers = _p_monomials(r, a, b)
+        for x in rng.uniform(0.05, 1.0, size=(5, r)):
+            terms = coeffs * np.prod(x ** powers, axis=1)
+            scale = np.sum(np.abs(terms))
+            assert abs(np.sum(terms) - weyl_polynomial(rd, x)) <= 1e-12 * scale, (r, a, b)
+
+
 def test_monomial_expansion_small_cases():
     coeffs, powers = _p_monomials(1, 0, 0)
     assert list(coeffs) == [1.0] and powers.tolist() == [[1]]
@@ -213,26 +230,26 @@ def test_overflow_signalled():
     spec = _spec_r1(-40.0, eps=1e-10)
     with pytest.raises(IntegralOverflowError):
         integrate(spec)
+    # nodes that round to x = 1 give 0**negative: typed, with no RuntimeWarning
+    with pytest.raises(IntegralOverflowError):
+        integrate(_spec_r1(-1.5, eps=1e-18))
 
 
 def test_lost_precision_falls_back_to_analytic():
     # the same cancelling ladder: the exponents still decide the verdict
     pr = pair_by_label("su33")
     ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(pr, ws, 0, order=12)
+    rep = classify_convergence(build_integrand(pr, ws, 0, order=12))
     assert rep.classification == "divergent"
     assert rep.empirical_classification == "not-run"
     assert rep.truncated_values == ()
-    assert "lost precision" in rep.scalar_note
+    assert "lost precision" in rep.note
 
 
 def test_lost_precision_is_a_typed_failure():
     # at lambda = 0 the su(3,3) ladder cancels to a negative truncated value
     pr = pair_by_label("su33")
-    ws = weight_system(pr, _zero(pr))
-    with pytest.raises(IntegralOverflowError):
-        classify_convergence(pr, ws, 0, order=12, empirical_only=True)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="lost precision"):
         empirical_threshold(pr, _zero(pr))
 
 
@@ -250,10 +267,9 @@ def test_ladder_evaluates_each_eps_at_one_order(monkeypatch):
 
     monkeypatch.setattr(integral, "_integrate_at_order", counted)
     pr = pair_by_label("su11")
-    ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(pr, ws, -3)
+    spec = build_integrand(pr, weight_system(pr, _zero(pr)), -3)
+    rep = classify_convergence(spec)
     assert orders == [24] * 4
-    spec = build_integrand(pr, ws, -3)
     assert rep.truncated_values == tuple(
         (e, integrate(replace(spec, eps=e))[0]) for e in (1e-2, 1e-3, 1e-4, 1e-5)
     )
@@ -286,7 +302,7 @@ def test_rank_four_quadrature():
     # the largest rank the tensor grids allow; su(4,4) has 729 monomials
     pr = pair_by_label("su44")
     ws = weight_system(pr, extend_compact_coords(pr, [0] * 6))
-    rep = classify_convergence(pr, ws, -7.5)
+    rep = classify_convergence(build_integrand(pr, ws, -7.5))
     assert rep.classification == "convergent"
     # the increment exponent estimates the distance to the threshold (-7)
     assert rep.increment_exponent == pytest.approx(0.5, abs=0.02)
@@ -295,9 +311,30 @@ def test_rank_four_quadrature():
 def test_rank_cap_analytic_only():
     pr = pair_by_label("sp5")  # r = 5 > quadrature cap
     ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(pr, ws, -20)
+    rep = classify_convergence(build_integrand(pr, ws, -20))
     assert rep.classification == "convergent"
     assert rep.truncated_values == ()
+    assert rep.empirical_classification == "not-run"
+    assert rep.note == (f"rank above quadrature cap ({MAX_QUADRATURE_RANK}); "
+                        "analytic classification only")
+
+
+def test_rank_cap_stops_the_bisection_at_its_first_probe(monkeypatch):
+    # the ladder never runs above the cap, so no probe can bracket the threshold
+    import hdt.integral as integral
+
+    probes = []
+    classify = integral.classify_convergence
+
+    def counted(spec, eps_ladder):
+        probes.append(spec)
+        return classify(spec, eps_ladder)
+
+    monkeypatch.setattr(integral, "classify_convergence", counted)
+    pr = pair_by_label("sp5")
+    with pytest.raises(ConfigurationError, match="quadrature cap"):
+        empirical_threshold(pr, _zero(pr))
+    assert len(probes) == 1
 
 
 def test_agreement_sign_with_criterion():

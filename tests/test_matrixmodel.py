@@ -23,7 +23,6 @@ from hdt.matrixmodel import (
     random_domain_point,
     random_su,
     random_triples,
-    sample_disc,
     stratified_disc,
     torus_element,
     verify_Q_transformation,
@@ -330,13 +329,11 @@ def test_reproducing_kernel_rejects_small_k():
 
 
 def test_stratified_matches_rejection_sampling():
-    # same distribution: compare a smooth moment under both samplers
-    rng1 = np.random.default_rng(11)
-    rng2 = np.random.default_rng(12)
-    m1 = np.mean(np.abs(sample_disc(rng1, 200_000)) ** 2)
-    m2 = np.mean(np.abs(stratified_disc(rng2, 200_000)) ** 2)
-    assert m1 == pytest.approx(0.5, abs=2e-3)
-    assert m2 == pytest.approx(0.5, abs=1e-4)
+    # uniform on the disc: E z = 0, E|z|^2 = 1/2, E|z|^4 = 1/3 in closed form
+    z = stratified_disc(np.random.default_rng(12), 200_000)
+    assert abs(np.mean(z)) < 1e-12
+    assert np.mean(np.abs(z) ** 2) == pytest.approx(1 / 2, abs=1e-6)
+    assert np.mean(np.abs(z) ** 4) == pytest.approx(1 / 3, abs=1e-6)
 
 
 def test_multiplier_unitarity():
