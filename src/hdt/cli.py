@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -38,6 +39,10 @@ def fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 class UsageError(Exception):
@@ -248,8 +253,9 @@ def cmd_integrate(args) -> int:
             "empirical": report.empirical_classification,
             "min_exponent": report.min_exponent,
             "ladder": [{"eps": e, "estimate": v} for e, v in report.truncated_values],
-            "fitted_slope": report.fitted_slope,
-            "increment_exponent": report.increment_exponent,
+            # NaN when the ladder did not run; JSON has no NaN
+            "fitted_slope": _finite_or_none(report.fitted_slope),
+            "increment_exponent": _finite_or_none(report.increment_exponent),
             "formal_dimension_scalar": scalar,
             "scalar_note": note,
         }
@@ -274,6 +280,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
+        raise UsageError("--tol-scale must be a finite positive number")
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("HDT_SEED", "0"))
@@ -350,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="multiply the numeric tolerances (use a tiny value to force "
                    "failures); exact checks are true or false")
-    p.add_argument("--fast", action="store_true", help="reduced sample counts")
+    p.add_argument("--fast", action="store_true",
+                   help="fewer factorization triples (100 per su(p,q) instead of 1000)")
     p.add_argument("--output", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_verify)
     return ap

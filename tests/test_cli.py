@@ -90,10 +90,16 @@ def test_exit_codes_matrix():
         res = run_cli("integrate", "su11", "--lambda", "-3", *bad)
         assert res.returncode == 2, bad
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    for bad in ("nan", "inf", "0", "-1"):
+        res = run_cli("verify", "numeric", "--fast", "--tol-scale", bad)
+        assert res.returncode == 2, bad
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
     # 1: verification failure (tolerances scaled to impossible)
     res = run_cli("verify", "numeric", "--fast", "--seed", "1", "--tol-scale", "1e-18")
     assert res.returncode == 1
     assert "FAIL" in res.stdout
+    # 0: the disc checks are deterministic, so no seed misses their tolerance
+    assert run_cli("verify", "numeric", "--fast", "--seed", "584098").returncode == 0
 
 
 def test_cli_imports_only_numpy_and_the_standard_library():
@@ -174,6 +180,20 @@ def test_integrate_json():
     assert data["classification"] == "convergent"
     assert len(data["ladder"]) == 4
     assert data["formal_dimension_scalar"] is not None
+
+
+def test_integrate_json_without_ladder_is_strict_json():
+    # above the rank cap (sp5) and after lost precision (su33 at 0) the
+    # ladder does not run: its slope and exponent are null, not NaN
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    for args in (("sp5", "--lambda", "-20"), ("su33", "--lambda", "0")):
+        res = run_cli("integrate", *args, "--output", "json")
+        assert res.returncode == 0
+        data = json.loads(res.stdout, parse_constant=reject)
+        assert data["empirical"] == "not-run"
+        assert data["fitted_slope"] is None and data["increment_exponent"] is None
 
 
 def test_integrate_e7vii_rank_three():

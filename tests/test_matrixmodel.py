@@ -9,6 +9,7 @@ from hdt.matrixmodel import (
     BlockMatrixElement,
     OutsideCellError,
     cayley_verify,
+    disc_rule,
     eta,
     expm,
     h_polynomial,
@@ -23,7 +24,6 @@ from hdt.matrixmodel import (
     random_domain_point,
     random_su,
     random_triples,
-    stratified_disc,
     torus_element,
     verify_Q_transformation,
     verify_kernel_transformation,
@@ -312,15 +312,15 @@ def test_random_triples_follow_the_sequential_stream():
 
 
 def test_reproducing_kernel_normalization():
-    est, exact, err = verify_reproducing_kernel_disc(2, [1.0], 0.0, n_samples=200_000, seed=3)
+    est, exact, err = verify_reproducing_kernel_disc(2, [1.0], 0.0)
     assert exact == 1.0
-    assert err < 1e-3  # the constant function is reproduced
+    assert err < 1e-12  # the constant function is reproduced
 
 
 def test_reproducing_kernel_monomial():
-    est, exact, err = verify_reproducing_kernel_disc(3, [0, 1], 0.3, n_samples=200_000, seed=3)
+    est, exact, err = verify_reproducing_kernel_disc(3, [0, 1], 0.3)
     assert exact == pytest.approx(0.3)
-    assert err < 1e-3
+    assert err < 1e-12
 
 
 def test_reproducing_kernel_rejects_small_k():
@@ -328,23 +328,35 @@ def test_reproducing_kernel_rejects_small_k():
         verify_reproducing_kernel_disc(1, [1.0], 0.0)
 
 
-def test_stratified_matches_rejection_sampling():
-    # uniform on the disc: E z = 0, E|z|^2 = 1/2, E|z|^4 = 1/3 in closed form
-    z = stratified_disc(np.random.default_rng(12), 200_000)
-    assert abs(np.mean(z)) < 1e-12
-    assert np.mean(np.abs(z) ** 2) == pytest.approx(1 / 2, abs=1e-6)
-    assert np.mean(np.abs(z) ** 4) == pytest.approx(1 / 3, abs=1e-6)
+def test_disc_rule_moments():
+    # Int_D dlambda = pi, Int z = 0, Int |z|^2 = pi/2, Int |z|^4 = pi/3
+    z, w = disc_rule(48)
+    assert z.shape == w.shape == (48 * 96,)
+    assert np.all(np.abs(z) < 1)
+    assert np.sum(w) == pytest.approx(math.pi, abs=1e-13)
+    assert abs(np.sum(w * z)) < 1e-14
+    assert np.sum(w * np.abs(z) ** 2) == pytest.approx(math.pi / 2, abs=1e-14)
+    assert np.sum(w * np.abs(z) ** 4) == pytest.approx(math.pi / 3, abs=1e-14)
+    assert disc_rule(48)[0] is z  # cached, and read-only so the cache stays intact
+    with pytest.raises(ValueError):
+        z[0] = 0
+
+
+def _disc_elements():
+    for s in range(200):
+        yield random_su(np.random.default_rng(s), 1, 1, scale=0.3)
+    yield torus_element([1.6], 1, 1)  # |c/d| = tanh 1.6, about 0.92
 
 
 def test_multiplier_unitarity():
-    rng = np.random.default_rng(5)
-    g = random_su(rng, 1, 1, scale=0.3)
-    nf, nug = multiplier_unitarity_mc(g, 3, [1.0, 0.2j, -0.1], rng, n=200_000)
-    assert abs(nf - nug) / nf < 1e-2
+    for g in _disc_elements():
+        nf, nug = multiplier_unitarity_mc(g, 3, [1.0, 0.2j, -0.1])
+        assert nf == pytest.approx(math.pi * (1 / 2 + 0.04 / 6 + 0.01 / 12), rel=1e-15)
+        assert abs(nf - nug) / nf <= 1e-12
 
 
 def test_measure_invariance():
-    rng = np.random.default_rng(6)
-    g = random_su(rng, 1, 1, scale=0.3)
-    ef, eg = measure_invariance_mc(g, rng, n=200_000)
-    assert abs(ef - eg) / ef < 1e-2
+    for g in _disc_elements():
+        ef, eg = measure_invariance_mc(g)
+        assert ef == math.pi / 2
+        assert abs(ef - eg) / ef <= 1e-12

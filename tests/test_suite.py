@@ -14,14 +14,14 @@ def test_exact_suite_all_pass():
 
 
 def test_numeric_suite_all_pass_and_deterministic():
-    a = run_numeric_suite(seed=11, triples=50, mc_samples=50_000)
-    b = run_numeric_suite(seed=11, triples=50, mc_samples=50_000)
+    a = run_numeric_suite(seed=11, triples=50)
+    b = run_numeric_suite(seed=11, triples=50)
     assert all(r.passed for r in a), [r.name for r in a if not r.passed]
     assert [(r.name, r.residual) for r in a] == [(r.name, r.residual) for r in b]
 
 
 def test_tolerance_scale_forces_failures():
-    results = run_numeric_suite(seed=11, tol_scale=1e-18, triples=20, mc_samples=20_000)
+    results = run_numeric_suite(seed=11, tol_scale=1e-18, triples=20)
     assert any(not r.passed for r in results)
 
 
