@@ -9,14 +9,16 @@ report (`hdt integrate` adds the formal-dimension scalar, the threshold
 bisection reads only the empirical exponent).  Quadrature is tensorized
 Gauss-Legendre on panels geometrically graded toward the singular face,
 with the ordering handled by nested cumulative integration (exact on each
-panel for polynomial degree below the order).
+panel for polynomial degree below the order).  The graded panels of every
+eps are a prefix of those of a smaller one, so a whole ladder is one sweep:
+the shared panels once, then one tail panel per eps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -48,6 +50,9 @@ class ConfigurationError(RuntimeError):
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 MAX_QUADRATURE_RANK = 4
+# reported values use spec.order + _ORDER_STEP; integrate() bounds their
+# error by the difference from spec.order
+_ORDER_STEP = 8
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,11 @@ def _cumulative_matrix(order: int) -> np.ndarray:
 
 
 def _panels(eps: float) -> list[tuple[float, float]]:
-    """Partition of [0, 1-eps] halving geometrically toward the singular face."""
+    """Partition of [0, 1-eps] halving geometrically toward the singular face.
+
+    Every panel but the last is [1 - 2^-(i-1), 1 - 2^-i] (from 0 for i = 1),
+    so the graded panels of a larger eps are a prefix of a smaller one's.
+    """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     points = [0.0]
@@ -112,37 +121,6 @@ def _panels(eps: float) -> list[tuple[float, float]]:
         h /= 2.0
     points.append(1.0 - eps)
     return list(zip(points[:-1], points[1:]))
-
-
-class _Grid:
-    """Shared Gauss nodes on graded panels with cumulative integration."""
-
-    def __init__(self, eps: float, order: int):
-        ref_x, ref_w = _gauss(order)
-        self.order = order
-        self.cmat = _cumulative_matrix(order)
-        self.panels = _panels(eps)
-        xs, self.halves = [], []
-        for lo, hi in self.panels:
-            half = (hi - lo) / 2.0
-            xs.append(lo + half * (ref_x + 1.0))
-            self.halves.append(half)
-        self.x = np.concatenate(xs)
-        self.ref_w = ref_w
-
-    def cumulative(self, vals: np.ndarray):
-        """Running integral from 0 evaluated at every node, plus the total.
-
-        vals has shape (..., n_nodes); returns (same shape, (...,)).
-        """
-        out = np.empty_like(vals)
-        prefix = np.zeros(vals.shape[:-1])
-        n = self.order
-        for p, half in enumerate(self.halves):
-            seg = vals[..., p * n : (p + 1) * n]
-            out[..., p * n : (p + 1) * n] = prefix[..., None] + half * (seg @ self.cmat.T)
-            prefix = prefix + half * (seg @ self.ref_w)
-        return out, prefix
 
 
 @lru_cache(maxsize=None)
@@ -168,46 +146,75 @@ def _p_monomials(r: int, a: int, b: int):
     return coeffs, powers
 
 
-def _integrate_at_order(spec: IntegralSpec, order: int) -> float:
-    grid = _Grid(spec.eps, order)
-    x = grid.x
-    one_minus_sq = 1.0 - x * x
-    coeffs, powers = _p_monomials(spec.r, spec.a, spec.b)
-    xpow = {int(q): x ** int(q) for q in np.unique(powers)}
+def _truncations(spec: IntegralSpec, eps_values: tuple[float, ...], order: int) -> list[float]:
+    """Truncated integral at every eps in eps_values (spec.eps is ignored),
+    each on its own panels of _panels(eps) at the given Gauss order.
 
-    total = 0.0
+    The graded panels of every eps are a prefix of those of the smallest,
+    so one sweep integrates them once and then each eps's own tail panel,
+    which starts from the shared running totals and carries its own
+    inner-coordinate values through the nested integration.  Arrays are
+    panel-major, (panel, monomial, node): each batched product then runs
+    the same BLAS call per panel as a panel-by-panel loop, so every rung
+    rounds exactly as a sweep over its eps alone, which matters for the
+    ladders whose monomial sum cancels.
+    """
+    ref_x, ref_w = _gauss(order)
+    cmat_t = _cumulative_matrix(order).T
+    partitions = [_panels(e) for e in eps_values]
+    shared = max(partitions, key=len)[:-1]
+    n_shared = len(shared)
+    starts = [len(p) - 1 for p in partitions]  # shared panels below each tail
+    panels = shared + [p[-1] for p in partitions]
+    halves = np.array([(hi - lo) / 2.0 for lo, hi in panels])
+    x = np.array([lo + half * (ref_x + 1.0) for (lo, _), half in zip(panels, halves)])
+    one_minus_sq = (1.0 - x * x)[:, None, :]
+    coeffs, powers = _p_monomials(spec.r, spec.a, spec.b)
+    distinct, index = np.unique(powers, return_inverse=True)
+    index = index.reshape(powers.shape)
+    xpow = np.stack([x ** int(q) for q in distinct], axis=1)  # (panel, power, node)
+
+    totals = [0.0] * len(eps_values)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for mult, exps in zip(spec.multiplicities, np.array(spec.exponents, dtype=float)):
-            h = None
+            inner = None
             for j in range(spec.r):
-                fj = one_minus_sq ** exps[j]
-                vals = fj[None, :] * np.stack([xpow[int(q)] for q in powers[:, j]])
-                if h is not None:
-                    vals = vals * h
-                h, totals = grid.cumulative(vals)
-            total += mult * float(coeffs @ totals)
-    if not math.isfinite(total):
-        raise IntegralOverflowError(
-            f"non-finite value at eps = {spec.eps}; exponents too negative"
-        )
-    return total
+                vals = (xpow * one_minus_sq ** exps[j])[:, index[:, j]]
+                if inner is not None:
+                    vals *= inner
+                per_panel = vals @ ref_w
+                per_panel *= halves[:, None]
+                # running totals at the start of each shared panel, and at its end
+                before = np.zeros((n_shared + 1, len(coeffs)))
+                np.cumsum(per_panel[:n_shared], axis=0, out=before[1:])
+                tail_start = before[starts]
+                if j == spec.r - 1:
+                    break
+                inner = vals @ cmat_t
+                inner *= halves[:, None, None]
+                inner[1:n_shared] += before[1:n_shared, :, None]
+                inner[n_shared:] += tail_start[:, :, None]
+            for i, last in enumerate(tail_start + per_panel[n_shared:]):
+                totals[i] += mult * float(coeffs @ last)
+    for e, total in zip(eps_values, totals):
+        if not math.isfinite(total):
+            raise IntegralOverflowError(
+                f"non-finite value at eps = {e}; exponents too negative"
+            )
+    return totals
 
 
 def integrate(spec: IntegralSpec) -> tuple[float, float]:
     """Estimate the truncated integral; returns (value, error bound).
 
-    The bound is the difference between two quadrature orders, which is a
-    faithful indicator here because panel grading keeps the integrand
-    polynomial-like on every panel.
+    The value is at order spec.order + _ORDER_STEP.  The bound is its
+    difference from the value at spec.order, which is a faithful indicator
+    here because panel grading keeps the integrand polynomial-like on every
+    panel.
     """
-    v1 = _integrate_at_order(spec, spec.order)
-    v2 = _refined(spec)
+    v1 = _truncations(spec, (spec.eps,), spec.order)[0]
+    v2 = _truncations(spec, (spec.eps,), spec.order + _ORDER_STEP)[0]
     return v2, abs(v2 - v1)
-
-
-def _refined(spec: IntegralSpec) -> float:
-    """The value integrate() reports, without the lower order its bound needs."""
-    return _integrate_at_order(spec, spec.order + 8)
 
 
 # -- integrand construction --------------------------------------------------
@@ -300,7 +307,7 @@ def classify_convergence(
         return analytic_only(f"rank above quadrature cap ({MAX_QUADRATURE_RANK})")
     ladder = tuple(sorted(eps_ladder, reverse=True))
     try:
-        values = [_refined(replace(spec, eps=e)) for e in ladder]
+        values = _truncations(spec, ladder, spec.order + _ORDER_STEP)
     except IntegralOverflowError as exc:
         return analytic_only(str(exc))
     if not all(v > 0 for v in values):
@@ -340,8 +347,7 @@ def formal_scalar(spec: IntegralSpec, lam, eps_base: float) -> tuple[float, str]
     disc factor (k-1)/pi with k = -lambda is applied for display.
     """
     e1, e2 = eps_base * 1e-2, eps_base * 1e-3
-    i1 = _refined(replace(spec, eps=e1))
-    i2 = _refined(replace(spec, eps=e2))
+    i1, i2 = _truncations(spec, (e1, e2), spec.order + _ORDER_STEP)
     delta = float(min(min(row) for row in spec.exponents)) + 1.0
     rho = 10.0 ** (-delta)
     value = i2 + (i2 - i1) * rho / (1.0 - rho) if rho < 1.0 else i2

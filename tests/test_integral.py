@@ -15,8 +15,10 @@ from hdt.integral import (
     ConfigurationError,
     IntegralOverflowError,
     IntegralSpec,
-    _Grid,
+    _gauss,
     _p_monomials,
+    _panels,
+    _truncations,
     build_integrand,
     classify_convergence,
     empirical_threshold,
@@ -166,11 +168,10 @@ def _cube_integral_oracle(exponents, a, b, eps, order=24):
     it uses |P| and plain tensor Gauss-Legendre on the same graded panels.
     """
     r = len(exponents)
-    grid = _Grid(eps, order)
-    x = grid.x
-    wts = np.concatenate(
-        [h * grid.ref_w for h in grid.halves]
-    )
+    ref_x, ref_w = _gauss(order)
+    halves = [(hi - lo) / 2.0 for lo, hi in _panels(eps)]
+    x = np.concatenate([lo + h * (ref_x + 1.0) for (lo, _), h in zip(_panels(eps), halves)])
+    wts = np.concatenate([h * ref_w for h in halves])
     mesh = np.meshgrid(*([x] * r), indexing="ij")
     wmesh = np.meshgrid(*([wts] * r), indexing="ij")
     integrand = np.ones_like(mesh[0])
@@ -254,25 +255,55 @@ def test_lost_precision_is_a_typed_failure():
 
 
 def test_ladder_evaluates_each_eps_at_one_order(monkeypatch):
-    # the ladder keeps only the value integrate() reports, so each eps costs
-    # that one quadrature order, not the two its error bound needs
+    # the ladder keeps only the value integrate() reports, so it costs that
+    # one quadrature order, and all four eps share one sweep over the panels
     import hdt.integral as integral
 
-    orders = []
-    evaluate = integral._integrate_at_order
+    sweeps = []
+    sweep = integral._truncations
 
-    def counted(spec, order):
-        orders.append(order)
-        return evaluate(spec, order)
+    def counted(spec, eps_values, order):
+        sweeps.append((tuple(eps_values), order))
+        return sweep(spec, eps_values, order)
 
-    monkeypatch.setattr(integral, "_integrate_at_order", counted)
+    monkeypatch.setattr(integral, "_truncations", counted)
     pr = pair_by_label("su11")
     spec = build_integrand(pr, weight_system(pr, _zero(pr)), -3)
     rep = classify_convergence(spec)
-    assert orders == [24] * 4
+    assert sweeps == [((1e-2, 1e-3, 1e-4, 1e-5), 24)]
     assert rep.truncated_values == tuple(
         (e, integrate(replace(spec, eps=e))[0]) for e in (1e-2, 1e-3, 1e-4, 1e-5)
     )
+
+
+@pytest.mark.parametrize("label,lam0,lam", [
+    ("e7vii", (1, 0, 0, 0, 0, 1), -24),
+    ("sp4", (2, 2, 2), -13),
+    ("sostar14", (0, 0, 0, 0, 0, 0), -14),
+], ids=["e7vii", "sp4", "sostar14"])
+def test_shared_sweep_matches_one_sweep_per_eps(label, lam0, lam):
+    # each rung's prefix panels come from the finest grid and its tail panel
+    # from its own start; alone, an eps sweeps only its own partition
+    pr = pair_by_label(label)
+    ws = weight_system(pr, extend_compact_coords(pr, lam0))
+    spec = build_integrand(pr, ws, lam, with_multiplicities=True)
+    ladder = (1e-2, 1e-3, 1e-4, 1e-5)
+    shared = _truncations(spec, ladder, spec.order + 8)
+    for e, value in zip(ladder, shared):
+        alone = _truncations(spec, (e,), spec.order + 8)[0]
+        assert abs(value - alone) <= 1e-13 * abs(alone), (e, value, alone)
+
+
+def test_cancelling_sp4_ladder_still_reads_divergent():
+    # at lambda = 0 the sp(4) (1,1,1) ladder cancels in its monomial sum and
+    # stays positive only while each rung rounds as it always has; the
+    # threshold bisection needs that probe
+    pr = pair_by_label("sp4")
+    lam0 = extend_compact_coords(pr, (1, 1, 1))
+    ws = weight_system(pr, lam0)
+    rep = classify_convergence(build_integrand(pr, ws, 0, order=12))
+    assert rep.empirical_classification == "divergent"
+    assert abs(empirical_threshold(pr, lam0) - (-7.0)) <= 0.05
 
 
 def test_empirical_threshold_su11():
