@@ -18,7 +18,8 @@ from fractions import Fraction
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
 from .criterion import HighestWeightInput, hc_condition, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
-from .integral import MAX_QUADRATURE_RANK, build_integrand, classify_convergence, formal_scalar
+from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_QUADRATURE_RANK, MIN_EPS,
+                       build_integrand, classify_convergence, formal_scalar)
 from .suite import run_suite
 from .weights import extend_compact_coords, weight_system
 
@@ -26,10 +27,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_EXISTS = 3
-
-# formal_scalar extrapolates from eps * 1e-3, where 1 - x^2 must still be
-# a nonzero double next to x = 1 - eps * 1e-3
-MIN_EPS = 1e-12
 
 
 def fmt(x) -> str:
@@ -234,12 +231,11 @@ def cmd_integrate(args) -> int:
     ws = weight_system(pair, lam0)
     rd = restricted_root_data(pair)
     # above the rank cap only the exponents are read: skip the multiplicities
-    spec = build_integrand(pair, ws, lam, order=args.order,
-                           with_multiplicities=rd.r <= MAX_QUADRATURE_RANK)
-    report = classify_convergence(spec, ladder)
+    spec = build_integrand(pair, ws, lam, with_multiplicities=rd.r <= MAX_QUADRATURE_RANK)
+    report = classify_convergence(spec, ladder, args.order)
     scalar, note = None, report.note
     if report.classification == "convergent" and report.empirical_classification != "not-run":
-        scalar, note = formal_scalar(spec, lam, min(ladder))
+        scalar, note = formal_scalar(spec, lam, min(ladder), args.order)
 
     if args.output == "json":
         data = {
@@ -347,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pair")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--lambda0", default=None)
-    p.add_argument("--eps", default="1e-2,1e-3,1e-4,1e-5")
-    p.add_argument("--order", type=int, default=16, help="Gauss-Legendre order per panel")
+    p.add_argument("--eps", default=",".join(f"{e:g}" for e in DEFAULT_LADDER))
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                   help="Gauss-Legendre order per panel (default %(default)s)")
     p.add_argument("--output", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_integrate)
 

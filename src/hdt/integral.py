@@ -49,10 +49,11 @@ class ConfigurationError(RuntimeError):
 
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
+DEFAULT_ORDER = 24  # Gauss-Legendre nodes per panel
+# the bisection's probes run a lower order: their verdicts need the increment
+# exponent's sign, not the values' last digits
+PROBE_ORDER = 20
 MAX_QUADRATURE_RANK = 4
-# reported values use spec.order + _ORDER_STEP; integrate() bounds their
-# error by the difference from spec.order
-_ORDER_STEP = 8
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,6 @@ class IntegralSpec:
     b: int
     exponents: tuple[tuple[Fraction | float, ...], ...]  # distinct rows E_{s,j}
     multiplicities: tuple[int, ...]  # per row, summed over the weights sharing it
-    eps: float
-    order: int
 
 
 @dataclass(frozen=True)
@@ -90,19 +89,21 @@ def _gauss(order: int):
 def _cumulative_matrix(order: int) -> np.ndarray:
     """C[i,j] = integral of the j-th Lagrange basis polynomial (at the
     Gauss nodes) from -1 to node i; exact for degree < order."""
-    x, _ = _gauss(order)
-    c = np.zeros((order, order))
-    for i in range(order):
-        # sub-rule on [-1, x_i], exact for the degree-(order-1) basis
-        sx, sw = _gauss(order)
-        half = (x[i] + 1.0) / 2.0
-        t = -1.0 + half * (sx + 1.0)
-        for j in range(order):
-            lj = np.ones_like(t)
-            for k in range(order):
-                if k != j:
-                    lj *= (t - x[k]) / (x[j] - x[k])
-            c[i, j] = half * np.dot(sw, lj)
+    x, w = _gauss(order)
+    # row i of t is the same rule mapped onto [-1, x_i], exact for the
+    # degree-(order-1) basis
+    half = (x + 1.0) / 2.0
+    t = -1.0 + half[:, None] * (x + 1.0)
+    c = np.empty((order, order))
+    for j in range(order):
+        lj = np.ones_like(t)
+        for k in range(order):
+            if k != j:
+                lj *= (t - x[k]) / (x[j] - x[k])
+        # one dot per entry: a batched product would round differently, and
+        # the cancelling ladders are sensitive to the last ulp
+        for i in range(order):
+            c[i, j] = half[i] * np.dot(w, lj[i])
     return c
 
 
@@ -147,8 +148,8 @@ def _p_monomials(r: int, a: int, b: int):
 
 
 def _truncations(spec: IntegralSpec, eps_values: tuple[float, ...], order: int) -> list[float]:
-    """Truncated integral at every eps in eps_values (spec.eps is ignored),
-    each on its own panels of _panels(eps) at the given Gauss order.
+    """Truncated integral at every eps in eps_values, each on its own panels
+    of _panels(eps) at the given Gauss order.
 
     The graded panels of every eps are a prefix of those of the smallest,
     so one sweep integrates them once and then each eps's own tail panel,
@@ -204,17 +205,9 @@ def _truncations(spec: IntegralSpec, eps_values: tuple[float, ...], order: int) 
     return totals
 
 
-def integrate(spec: IntegralSpec) -> tuple[float, float]:
-    """Estimate the truncated integral; returns (value, error bound).
-
-    The value is at order spec.order + _ORDER_STEP.  The bound is its
-    difference from the value at spec.order, which is a faithful indicator
-    here because panel grading keeps the integrand polynomial-like on every
-    panel.
-    """
-    v1 = _truncations(spec, (spec.eps,), spec.order)[0]
-    v2 = _truncations(spec, (spec.eps,), spec.order + _ORDER_STEP)[0]
-    return v2, abs(v2 - v1)
+def integrate(spec: IntegralSpec, eps: float, order: int = DEFAULT_ORDER) -> float:
+    """The integral truncated at 1 - eps, at the given Gauss order per panel."""
+    return _truncations(spec, (eps,), order)[0]
 
 
 # -- integrand construction --------------------------------------------------
@@ -224,8 +217,6 @@ def build_integrand(
     pair: HermitianPair,
     ws: KssWeightSystem,
     lam,
-    eps: float = 1e-6,
-    order: int = 16,
     with_multiplicities: bool = False,
 ) -> IntegralSpec:
     """Exponent table E_{s,j} = -(Lambda^s + lambda Lambda_1)(h_j) - p.
@@ -253,8 +244,6 @@ def build_integrand(
         b=rd.b,
         exponents=tuple(tuple(s - m for s, m in zip(shift, k)) for k in rows),
         multiplicities=tuple(rows.values()),
-        eps=eps,
-        order=order,
     )
 
 
@@ -262,6 +251,10 @@ def build_integrand(
 
 
 _BOUNDARY_BAND = 0.01
+# truncations of a positive integrand never decrease as eps shrinks; a rung
+# that falls by more than quadrature noise (up to 4.7e-10 relative on the
+# e7vii ladders that converge) means the monomial sum has cancelled its digits
+_MAX_FALL = 1e-6
 
 
 def _increment_exponent(values: list[float]) -> float:
@@ -284,16 +277,15 @@ def _increment_exponent(values: list[float]) -> float:
     return -math.log10(ratios[-1])
 
 
-def classify_convergence(
-    spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEFAULT_LADDER
-) -> ConvergenceReport:
+def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
+                         order: int = DEFAULT_ORDER) -> ConvergenceReport:
     """Analytic classification from the exponents, corroborated on an
-    eps-ladder of truncated integrals (spec.eps is replaced by each rung).
+    eps-ladder of truncated integrals at the given Gauss order.
 
     The classification is always the analytic verdict.  The empirical one
     comes from the increment-ratio exponent alone (boundary-indeterminate
     inside a small band, not guessed).  Above the rank cap, or when the
-    ladder overflows or cancels, it is "not-run" and the note says why.
+    ladder overflows, cancels or falls, it is "not-run" and the note says why.
     """
     min_exp = float(min(min(row) for row in spec.exponents))
     # finite iff every exponent exceeds -1
@@ -307,14 +299,16 @@ def classify_convergence(
         return analytic_only(f"rank above quadrature cap ({MAX_QUADRATURE_RANK})")
     ladder = tuple(sorted(eps_ladder, reverse=True))
     try:
-        values = _truncations(spec, ladder, spec.order + _ORDER_STEP)
+        values = _truncations(spec, ladder, order)
     except IntegralOverflowError as exc:
         return analytic_only(str(exc))
-    if not all(v > 0 for v in values):
-        # cancellation in the monomial sum has eaten every significant digit
+    positive = all(v > 0 for v in values)
+    if not positive or any(a - b > _MAX_FALL * a for a, b in zip(values, values[1:])):
+        # cancellation in the monomial sum has eaten the significant digits
         return analytic_only(
             f"quadrature lost precision: truncated values "
-            f"{', '.join(f'{v:.3g}' for v in values)} are not all finite and positive"
+            f"{', '.join(f'{v:.3g}' for v in values)} "
+            + ("are not all finite and positive" if not positive else "fall as eps shrinks")
         )
 
     logs = [math.log(v) for v in values]
@@ -336,7 +330,13 @@ def classify_convergence(
     )
 
 
-def formal_scalar(spec: IntegralSpec, lam, eps_base: float) -> tuple[float, str]:
+# formal_scalar extrapolates from eps * 1e-3, where 1 - x^2 must still be
+# a nonzero double next to x = 1 - eps * 1e-3
+MIN_EPS = 1e-12
+
+
+def formal_scalar(spec: IntegralSpec, lam, eps_base: float,
+                  order: int = DEFAULT_ORDER) -> tuple[float, str]:
     """Value of the full integral, tail-extrapolated with the known exponent;
     returns (value, note).
 
@@ -347,7 +347,7 @@ def formal_scalar(spec: IntegralSpec, lam, eps_base: float) -> tuple[float, str]
     disc factor (k-1)/pi with k = -lambda is applied for display.
     """
     e1, e2 = eps_base * 1e-2, eps_base * 1e-3
-    i1, i2 = _truncations(spec, (e1, e2), spec.order + _ORDER_STEP)
+    i1, i2 = _truncations(spec, (e1, e2), order)
     delta = float(min(min(row) for row in spec.exponents)) + 1.0
     rho = 10.0 ** (-delta)
     value = i2 + (i2 - i1) * rho / (1.0 - rho) if rho < 1.0 else i2
@@ -366,20 +366,19 @@ def empirical_threshold(
     pair: HermitianPair,
     lambda0: Weight,
     tol: float = 0.05,
-    eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
-    order: int = 12,
 ) -> float:
     """Recover the critical lambda by bisection on the empirical verdict only.
 
     The analytic exponent test is deliberately not consulted; each probe
     builds the unit-weight spec and reads the increment exponent of its
-    eps ladder.  Raises ConfigurationError if no bracket can be found, or
-    if a probe's ladder did not run (rank cap, overflow, lost precision).
+    DEFAULT_LADDER at PROBE_ORDER.  Raises ConfigurationError if no bracket
+    can be found, or if a probe's ladder did not run (rank cap, overflow,
+    lost precision).
     """
     ws = weight_system(pair, lambda0)
 
     def empirically_convergent(lam: float) -> bool:
-        rep = classify_convergence(build_integrand(pair, ws, lam, order=order), eps_ladder)
+        rep = classify_convergence(build_integrand(pair, ws, lam), DEFAULT_LADDER, PROBE_ORDER)
         if rep.empirical_classification == "not-run":
             raise ConfigurationError(f"eps ladder not run at lambda = {lam}: {rep.note}")
         return rep.increment_exponent > 0.0

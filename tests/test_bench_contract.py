@@ -9,9 +9,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PATH = ROOT / "bench" / "spans.py"
 
 
 def _spans():
@@ -49,3 +54,31 @@ def test_private_integral_names_exist():
     integral = importlib.import_module("hdt.integral")
     for name in names:
         assert hasattr(integral, name), f"hdt.integral.{name}"
+
+
+def test_traced_run_counts_the_integrand():
+    # the counters read the objects hdt returns: run the traced CLI call and
+    # the traced bisection the benchmark runs, in a fresh interpreter
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {str(SPANS_PATH.parent)!r})\n"
+        "import hdt.cli, hdt.integral, spans\n"
+        "from hdt.hermitian import pair_by_label\n"
+        "from hdt.weights import extend_compact_coords\n"
+        "rec = spans.install()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hdt.cli.main(['integrate', 'sp3', '--lambda', '-7', '--output', 'json'])\n"
+        "su11 = pair_by_label('su11')\n"
+        "hdt.integral.empirical_threshold(su11, extend_compact_coords(su11, []))\n"
+        "m = rec.summary()['metrics']\n"
+        "print(json.dumps([code, m['integral.rows'], m['integral.monomials'],"
+        " m['integral.probes']]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert res.returncode == 0, res.stderr
+    code, rows, monomials, probes = json.loads(res.stdout)
+    assert code == 0
+    assert rows > 0 and monomials > 0 and probes > 0

@@ -157,6 +157,26 @@ def test_integrate_su11_value():
     assert "disc normalization" in data["scalar_note"]
 
 
+@pytest.mark.parametrize("extra,order", [((), 24), (("--order", "16"), 16)],
+                         ids=["default", "order16"])
+def test_integrate_runs_the_order_given(monkeypatch, capsys, extra, order):
+    # the eps ladder and the scalar's tail truncations both sweep at --order
+    import hdt.cli
+    import hdt.integral as integral
+
+    orders = []
+    sweep = integral._truncations
+
+    def counted(spec, eps_values, order):
+        orders.append(order)
+        return sweep(spec, eps_values, order)
+
+    monkeypatch.setattr(integral, "_truncations", counted)
+    assert hdt.cli.main(["integrate", "su11", "--lambda", "-3", *extra]) == 0
+    assert "formal dimension scalar" in capsys.readouterr().out
+    assert orders == [order, order]
+
+
 def test_integrate_divergent_exit_zero():
     res = run_cli("integrate", "su11", "--lambda", "0")
     assert res.returncode == 0  # a divergent verdict is a result, not an error

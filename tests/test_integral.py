@@ -11,10 +11,14 @@ from hdt.cascade import restricted_root_data, weyl_polynomial
 from hdt.criterion import hc_threshold
 from hdt.hermitian import catalog, pair_by_label
 from hdt.integral import (
+    DEFAULT_LADDER,
+    DEFAULT_ORDER,
     MAX_QUADRATURE_RANK,
+    PROBE_ORDER,
     ConfigurationError,
     IntegralOverflowError,
     IntegralSpec,
+    _cumulative_matrix,
     _gauss,
     _p_monomials,
     _panels,
@@ -31,11 +35,8 @@ def _zero(pair):
     return extend_compact_coords(pair, [0] * (pair.root_system.rank - 1))
 
 
-def _spec_r1(exponent, b=0, eps=1e-14, order=16):
-    return IntegralSpec(
-        r=1, a=0, b=b, exponents=((float(exponent),),),
-        multiplicities=(1,), eps=eps, order=order,
-    )
+def _spec_r1(exponent, b=0):
+    return IntegralSpec(r=1, a=0, b=b, exponents=((float(exponent),),), multiplicities=(1,))
 
 
 def beta_fn(x, y):
@@ -46,17 +47,16 @@ def beta_fn(x, y):
 @pytest.mark.parametrize("b", [0, 1, 2])
 def test_beta_family_closed_form(e, b):
     # independent oracle: int_0^1 (1-x^2)^e x^(2b+1) dx = B(b+1, e+1) / 2
-    val, bound = integrate(_spec_r1(e, b=b))
+    val = integrate(_spec_r1(e, b=b), 1e-14)
     exact = beta_fn(b + 1, e + 1) / 2.0
     assert abs(val - exact) / exact < 1e-6
-    assert bound < 1e-8
 
 
 def test_su11_closed_forms():
     # int x dx = 1/2 and int (1-x^2) x dx = 1/4
-    val, _ = integrate(_spec_r1(0.0))
+    val = integrate(_spec_r1(0.0), 1e-14)
     assert val == pytest.approx(0.5, rel=1e-10)
-    val, _ = integrate(_spec_r1(1.0))
+    val = integrate(_spec_r1(1.0), 1e-14)
     assert val == pytest.approx(0.25, rel=1e-10)
 
 
@@ -64,7 +64,7 @@ def test_truncated_log_divergence():
     # exponent -1 has the closed form -log(2 eps - eps^2)/2: log growth
     vals = []
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-        v, _ = integrate(_spec_r1(-1.0, eps=eps))
+        v = integrate(_spec_r1(-1.0), eps)
         assert v == pytest.approx(-0.5 * math.log(2 * eps - eps * eps), rel=1e-10)
         vals.append(v)
     increments = np.diff(vals)
@@ -150,15 +150,15 @@ def test_grouped_integral_is_the_weighted_trace():
     # the grouped spec against the trace taken one weight at a time
     pr = pair_by_label("e7vii")
     ws = weight_system(pr, extend_compact_coords(pr, (1, 0, 0, 0, 0, 1)))
-    grouped = build_integrand(pr, ws, -24, eps=1e-3, order=8, with_multiplicities=True)
+    grouped = build_integrand(pr, ws, -24, with_multiplicities=True)
     assert len(grouped.exponents) < len(ws.weights)
     mults = weight_multiplicities(ws)
     trace = 0.0
     for mu in ws.weights:
-        one = build_integrand(pr, replace(ws, weights=(mu,)), -24, eps=1e-3, order=8)
+        one = build_integrand(pr, replace(ws, weights=(mu,)), -24)
         assert one.multiplicities == (1,)
-        trace += mults[mu] * integrate(one)[0]
-    assert integrate(grouped)[0] == pytest.approx(trace, rel=1e-12)
+        trace += mults[mu] * integrate(one, 1e-3, 16)
+    assert integrate(grouped, 1e-3, 16) == pytest.approx(trace, rel=1e-12)
 
 
 def _cube_integral_oracle(exponents, a, b, eps, order=24):
@@ -194,8 +194,8 @@ def test_simplex_equals_symmetrized_cube():
     rd = restricted_root_data(pr)
     ws = weight_system(pr, _zero(pr))
     for lam in (-5, -4.5):
-        spec = build_integrand(pr, ws, lam, eps=1e-4, order=16)
-        val, _ = integrate(spec)
+        spec = build_integrand(pr, ws, lam)
+        val = integrate(spec, 1e-4)
         oracle = _cube_integral_oracle(spec.exponents[0], rd.a, rd.b, 1e-4)
         assert val == pytest.approx(oracle, rel=1e-8)
 
@@ -227,24 +227,68 @@ def test_monomial_expansion_small_cases():
     assert got == [([1, 3], 1.0), ([3, 1], -1.0)]
 
 
+def _cumulative_matrix_by_rows(order):
+    """Reference: one sub-rule on [-1, x_i] per row, one basis polynomial
+    at a time."""
+    x, w = _gauss(order)
+    c = np.zeros((order, order))
+    for i in range(order):
+        half = (x[i] + 1.0) / 2.0
+        t = -1.0 + half * (x + 1.0)
+        for j in range(order):
+            lj = np.ones_like(t)
+            for k in range(order):
+                if k != j:
+                    lj *= (t - x[k]) / (x[j] - x[k])
+            c[i, j] = half * np.dot(w, lj)
+    return c
+
+
+def test_cumulative_matrix_integrates_polynomials():
+    # (C @ p(x))_i is the integral of p from -1 to node i, exact for degree < order
+    for order in range(1, 33):
+        x, _ = _gauss(order)
+        c = _cumulative_matrix(order)
+        for k in range(order):
+            exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(c @ x ** k - exact)) <= 1e-12, (order, k)
+
+
+def test_cumulative_matrix_rounds_as_the_row_by_row_reference():
+    # the cancelling probe ladders are sensitive to the last ulp of C
+    for order in (8, 12, 16, 20, 24, 32):
+        assert np.array_equal(_cumulative_matrix(order), _cumulative_matrix_by_rows(order)), order
+
+
 def test_overflow_signalled():
-    spec = _spec_r1(-40.0, eps=1e-10)
     with pytest.raises(IntegralOverflowError):
-        integrate(spec)
+        integrate(_spec_r1(-40.0), 1e-10)
     # nodes that round to x = 1 give 0**negative: typed, with no RuntimeWarning
     with pytest.raises(IntegralOverflowError):
-        integrate(_spec_r1(-1.5, eps=1e-18))
+        integrate(_spec_r1(-1.5), 1e-18)
 
 
 def test_lost_precision_falls_back_to_analytic():
     # the same cancelling ladder: the exponents still decide the verdict
     pr = pair_by_label("su33")
     ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(build_integrand(pr, ws, 0, order=12))
+    rep = classify_convergence(build_integrand(pr, ws, 0), DEFAULT_LADDER, PROBE_ORDER)
     assert rep.classification == "divergent"
     assert rep.empirical_classification == "not-run"
     assert rep.truncated_values == ()
     assert "lost precision" in rep.note
+
+
+def test_falling_ladder_is_lost_precision():
+    # e7vii at lambda = -16.5 diverges (min E = -3/2), but at the probe order
+    # its ladder falls at the last rung (1.08e-05 -> 8.59e-06) and its last
+    # increment is negative, which once read as converged to full precision
+    pr = pair_by_label("e7vii")
+    spec = build_integrand(pr, weight_system(pr, _zero(pr)), Fraction(-33, 2))
+    rep = classify_convergence(spec, DEFAULT_LADDER, PROBE_ORDER)
+    assert rep.classification == "divergent"
+    assert rep.empirical_classification == "not-run"
+    assert "lost precision" in rep.note and "fall as eps shrinks" in rep.note
 
 
 def test_lost_precision_is_a_typed_failure():
@@ -270,9 +314,9 @@ def test_ladder_evaluates_each_eps_at_one_order(monkeypatch):
     pr = pair_by_label("su11")
     spec = build_integrand(pr, weight_system(pr, _zero(pr)), -3)
     rep = classify_convergence(spec)
-    assert sweeps == [((1e-2, 1e-3, 1e-4, 1e-5), 24)]
+    assert sweeps == [((1e-2, 1e-3, 1e-4, 1e-5), DEFAULT_ORDER)]
     assert rep.truncated_values == tuple(
-        (e, integrate(replace(spec, eps=e))[0]) for e in (1e-2, 1e-3, 1e-4, 1e-5)
+        (e, integrate(spec, e)) for e in (1e-2, 1e-3, 1e-4, 1e-5)
     )
 
 
@@ -288,9 +332,9 @@ def test_shared_sweep_matches_one_sweep_per_eps(label, lam0, lam):
     ws = weight_system(pr, extend_compact_coords(pr, lam0))
     spec = build_integrand(pr, ws, lam, with_multiplicities=True)
     ladder = (1e-2, 1e-3, 1e-4, 1e-5)
-    shared = _truncations(spec, ladder, spec.order + 8)
+    shared = _truncations(spec, ladder, DEFAULT_ORDER)
     for e, value in zip(ladder, shared):
-        alone = _truncations(spec, (e,), spec.order + 8)[0]
+        alone = _truncations(spec, (e,), DEFAULT_ORDER)[0]
         assert abs(value - alone) <= 1e-13 * abs(alone), (e, value, alone)
 
 
@@ -301,7 +345,7 @@ def test_cancelling_sp4_ladder_still_reads_divergent():
     pr = pair_by_label("sp4")
     lam0 = extend_compact_coords(pr, (1, 1, 1))
     ws = weight_system(pr, lam0)
-    rep = classify_convergence(build_integrand(pr, ws, 0, order=12))
+    rep = classify_convergence(build_integrand(pr, ws, 0), DEFAULT_LADDER, PROBE_ORDER)
     assert rep.empirical_classification == "divergent"
     assert abs(empirical_threshold(pr, lam0) - (-7.0)) <= 0.05
 
@@ -357,9 +401,9 @@ def test_rank_cap_stops_the_bisection_at_its_first_probe(monkeypatch):
     probes = []
     classify = integral.classify_convergence
 
-    def counted(spec, eps_ladder):
+    def counted(spec, eps_ladder, order):
         probes.append(spec)
-        return classify(spec, eps_ladder)
+        return classify(spec, eps_ladder, order)
 
     monkeypatch.setattr(integral, "classify_convergence", counted)
     pr = pair_by_label("sp5")
