@@ -1,7 +1,8 @@
 """Command-line surface: catalog, analyze, criterion, integrate, verify.
 
 Exit codes: 0 success (criterion: exists), 1 verification failure,
-2 usage error, 3 criterion negative.  All numeric report fields print
+2 usage error, 3 criterion negative, 4 internal error (one line; the
+traceback too when HDT_DEBUG is set).  All numeric report fields print
 with 12 significant digits; lambda is parsed as an exact decimal so
 boundary verdicts are deterministic.
 """
@@ -13,13 +14,14 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
 from .criterion import HighestWeightInput, hc_condition, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
-from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_QUADRATURE_RANK, MIN_EPS,
-                       build_integrand, classify_convergence, formal_scalar)
+from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_ORDER, MAX_QUADRATURE_RANK,
+                       MIN_EPS, build_integrand, classify_convergence, formal_scalar)
 from .suite import run_suite
 from .weights import extend_compact_coords, weight_system
 
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_EXISTS = 3
+EXIT_INTERNAL = 4
 
 
 def fmt(x) -> str:
@@ -226,8 +229,8 @@ def cmd_integrate(args) -> int:
         raise UsageError("eps ladder needs at least three values")
     if len(set(ladder)) != len(ladder):
         raise UsageError("eps values must be distinct")
-    if args.order < 1:
-        raise UsageError("order must be at least 1")
+    if not 1 <= args.order <= MAX_ORDER:
+        raise UsageError(f"order must be in [1, {MAX_ORDER}]")
     ws = weight_system(pair, lam0)
     rd = restricted_root_data(pair)
     # above the rank cap only the exponents are read: skip the multiplicities
@@ -345,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", default=None)
     p.add_argument("--eps", default=",".join(f"{e:g}" for e in DEFAULT_LADDER))
     p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                   help="Gauss-Legendre order per panel (default %(default)s)")
+                   help=f"Gauss-Legendre order per panel, at most {MAX_ORDER} "
+                   "(default %(default)s)")
     p.add_argument("--output", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_integrate)
 
@@ -370,6 +374,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        if "HDT_DEBUG" in os.environ:
+            traceback.print_exc()
+        detail = str(exc).replace("\n", " ")
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

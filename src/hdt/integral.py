@@ -11,7 +11,9 @@ Gauss-Legendre on panels geometrically graded toward the singular face,
 with the ordering handled by nested cumulative integration (exact on each
 panel for polynomial degree below the order).  The graded panels of every
 eps are a prefix of those of a smaller one, so a whole ladder is one sweep:
-the shared panels once, then one tail panel per eps.
+the shared panels once, then one tail panel per eps.  Only the quadrature
+functions import numpy, when first called, so importing this module (as
+every CLI command does) loads no numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-
-import numpy as np
 
 from .cascade import restricted_root_data, strongly_orthogonal_cascade
 from .criterion import as_exact
@@ -50,6 +50,9 @@ class ConfigurationError(RuntimeError):
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_ORDER = 24  # Gauss-Legendre nodes per panel
+# building the cumulative matrix costs about order^3.7: 0.4 s at 128,
+# about 20 minutes at 1000
+MAX_ORDER = 128
 # the bisection's probes run a lower order: their verdicts need the increment
 # exponent's sign, not the values' last digits
 PROBE_ORDER = 20
@@ -81,14 +84,18 @@ class ConvergenceReport:
 
 @lru_cache(maxsize=None)
 def _gauss(order: int):
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
 
 
 @lru_cache(maxsize=None)
-def _cumulative_matrix(order: int) -> np.ndarray:
+def _cumulative_matrix(order: int):
     """C[i,j] = integral of the j-th Lagrange basis polynomial (at the
     Gauss nodes) from -1 to node i; exact for degree < order."""
+    import numpy as np
+
     x, w = _gauss(order)
     # row i of t is the same rule mapped onto [-1, x_i], exact for the
     # degree-(order-1) basis
@@ -127,6 +134,8 @@ def _panels(eps: float) -> list[tuple[float, float]]:
 @lru_cache(maxsize=None)
 def _p_monomials(r: int, a: int, b: int):
     """Expansion of P(x) into monomials: coefficient and per-coordinate power."""
+    import numpy as np
+
     pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
     n_terms = (a + 1) ** len(pairs)
     if n_terms > 200_000:
@@ -160,6 +169,8 @@ def _truncations(spec: IntegralSpec, eps_values: tuple[float, ...], order: int) 
     rounds exactly as a sweep over its eps alone, which matters for the
     ladders whose monomial sum cancels.
     """
+    import numpy as np
+
     ref_x, ref_w = _gauss(order)
     cmat_t = _cumulative_matrix(order).T
     partitions = [_panels(e) for e in eps_values]

@@ -2,8 +2,9 @@
 
 The exact suite re-proves the structural identities in exact arithmetic
 on every catalog pair; the numeric suite drives the seeded matrix-model
-residual checks.  Each check reports its residual and the tolerance it was
-held to, so the CLI can print one line per check.
+residual checks, and it alone imports numpy and the matrix model.  Each
+check reports its residual and the tolerance it was held to, so the CLI
+can print one line per check.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import matrixmodel as mm
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
 from .criterion import HighestWeightInput, hc_condition, hc_threshold, reduction_trace
 from .hermitian import catalog, partition_roots
@@ -111,6 +109,10 @@ def run_exact_suite() -> list[CheckResult]:
 
 def run_numeric_suite(seed: int = 0, tol_scale: float = 1.0,
                       triples: int = 1000) -> list[CheckResult]:
+    import numpy as np
+
+    from . import matrixmodel as mm
+
     rng = np.random.default_rng(seed)
     out: list[CheckResult] = []
 

@@ -101,7 +101,10 @@ def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
     Worklist saturation: from each known weight mu and each compact simple
     root alpha with mu(h_alpha) = c > 0, the weights mu - alpha, ...,
     mu - c*alpha all occur.  The closure of this rule from the highest weight
-    is exactly the support of the irreducible.
+    is exactly the support of the irreducible.  Only the top of each string
+    walks it: mu is skipped for alpha when mu + alpha is known, since that
+    weight's string reaches past mu - c*alpha, so each string is walked
+    about once.
     """
     _validate_lambda0(pair, lambda0)
     rs = pair.root_system
@@ -114,7 +117,7 @@ def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
         for mu in frontier:
             for i, row in rows.items():
                 c = mu[i]
-                if c <= 0:
+                if c <= 0 or tuple(m + ri for m, ri in zip(mu, row)) in seen:
                     continue
                 for k in range(1, c + 1):
                     cand = tuple(m - k * ri for m, ri in zip(mu, row))

@@ -85,7 +85,9 @@ def test_exit_codes_matrix():
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "-1,0").returncode == 2
     assert run_cli("nonsense").returncode == 2
     # below eps = 1e-12 the scalar's tail truncations round 1 - x^2 to 0
+    # above MAX_ORDER the cumulative matrix alone would run for minutes
     for bad in (("--eps", "1e-2,1e-3"), ("--eps", "1e-2,1e-2,1e-2"), ("--order", "0"),
+                ("--order", "129"), ("--order", "1000000"),
                 ("--eps", "1e-14,1e-15,1e-16"), ("--eps", "1e-12,1e-13,1e-14")):
         res = run_cli("integrate", "su11", "--lambda", "-3", *bad)
         assert res.returncode == 2, bad
@@ -123,6 +125,63 @@ def test_cli_imports_only_numpy_and_the_standard_library():
                          timeout=600)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [[], [], 0]
+
+
+def test_exact_commands_load_neither_numpy_nor_the_matrix_model():
+    # the structure commands compute in exact arithmetic; only integrate and
+    # the numeric suite pay for numpy
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def heavy():\n"
+        "    return [m for m in ('numpy', 'hdt.matrixmodel') if m in sys.modules]\n"
+        "import hdt\n"
+        "steps = [['import hdt', 0, heavy()]]\n"
+        "import hdt.cli\n"
+        "steps.append(['import hdt.cli', 0, heavy()])\n"
+        "for argv in (['catalog'], ['analyze', 'e7vii'],\n"
+        "             ['criterion', 'su44', '--lambda', '-10', '--lambda0', '1,0,0,0,0,1'],\n"
+        "             ['verify', 'exact'],\n"
+        "             ['integrate', 'su11', '--lambda', '-3'],\n"
+        "             ['verify', 'numeric', '--fast']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = hdt.cli.main(argv)\n"
+        "    steps.append([argv[0], code, heavy()])\n"
+        "print(json.dumps(steps))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [
+        ["import hdt", 0, []],
+        ["import hdt.cli", 0, []],
+        ["catalog", 0, []],
+        ["analyze", 0, []],
+        ["criterion", 0, []],
+        ["verify", 0, []],
+        ["integrate", 0, ["numpy"]],
+        ["verify", 0, ["numpy", "hdt.matrixmodel"]],
+    ]
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "HDT_DEBUG"])
+def test_unexpected_exception_exits_4(monkeypatch, capsys, debug):
+    import hdt.cli
+
+    def crash(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(hdt.cli, "cmd_catalog", crash)
+    if debug:
+        monkeypatch.setenv("HDT_DEBUG", "1")
+    else:
+        monkeypatch.delenv("HDT_DEBUG", raising=False)
+    assert hdt.cli.main(["catalog"]) == 4
+    err = capsys.readouterr().err
+    assert err.endswith("error: internal: ZeroDivisionError: boom\n")
+    if debug:
+        assert err.startswith("Traceback (most recent call last):")
+    else:
+        assert err.count("\n") == 1
 
 
 def test_verify_exact_ignores_tol_scale():

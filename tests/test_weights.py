@@ -1,5 +1,7 @@
 """Weight systems, multiplicities, and the maximality bound."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,21 @@ def test_weight_system_su22_fundamental():
     lam0 = compact_fundamental_weights(pr)[0]
     ws = weight_system(pr, lam0)
     assert len(ws.weights) == 2  # defining rep of one A1 factor
+
+
+def test_weight_system_walks_each_string_about_once():
+    # a walk from every weight of a string is quadratic in its length:
+    # about 100 s for these 20 001 weights
+    code = (
+        "from hdt.hermitian import pair_by_label\n"
+        "from hdt.weights import extend_compact_coords, weight_system\n"
+        "pr = pair_by_label('su22')\n"
+        "print(len(weight_system(pr, extend_compact_coords(pr, [20000, 0])).weights))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "20001\n"
 
 
 def test_weight_system_rejects_bad_input():
