@@ -6,14 +6,17 @@ The integrand is a sum over compact-part weights of products
 the exponents (finite iff every E_{s,j} > -1) and corroborated numerically
 on an eps-ladder of truncations; each caller decides what to do with the
 report (`hdt integrate` adds the formal-dimension scalar, the threshold
-bisection reads only the empirical exponent).  Quadrature is tensorized
-Gauss-Legendre on panels geometrically graded toward the singular face,
-with the ordering handled by nested cumulative integration (exact on each
-panel for polynomial degree below the order).  The graded panels of every
-eps are a prefix of those of a smaller one, so a whole ladder is one sweep:
-the shared panels once, then one tail panel per eps.  Only the quadrature
-functions import numpy, when first called, so importing this module (as
-every CLI command does) loads no numpy.
+search reads only the empirical exponent).  The threshold search reads that
+exponent as the distance to the critical lambda where it is resolved and
+probes just past it, with bisection steps as the fallback that bounds its
+probe count.  Quadrature is tensorized Gauss-Legendre on panels
+geometrically graded toward the singular face, with the ordering handled by
+nested cumulative integration (exact on each panel for polynomial degree
+below the order).  The graded panels of every eps are a prefix of those of
+a smaller one, so a whole ladder is one sweep: the shared panels once, then
+one tail panel per eps.  Only the quadrature functions import numpy, when
+first called, so importing this module (as every CLI command does) loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class IntegralOverflowError(ArithmeticError):
 
 
 class ConfigurationError(RuntimeError):
-    """Bisection could not bracket the threshold, or a probe's eps ladder
-    did not run."""
+    """The threshold search could not bracket the threshold, or a probe's
+    eps ladder did not run."""
 
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -53,8 +56,8 @@ DEFAULT_ORDER = 24  # Gauss-Legendre nodes per panel
 # building the cumulative matrix costs about order^3.7: 0.4 s at 128,
 # about 20 minutes at 1000
 MAX_ORDER = 128
-# the bisection's probes run a lower order: their verdicts need the increment
-# exponent's sign, not the values' last digits
+# the threshold search's probes run a lower order: they need the increment
+# exponent's sign and first digits, not the values' last digits
 PROBE_ORDER = 20
 MAX_QUADRATURE_RANK = 4
 
@@ -262,6 +265,14 @@ def build_integrand(
 
 
 _BOUNDARY_BAND = 0.01
+# an increment at or below this fraction of its rungs reads as converged to
+# full precision
+_INCREMENT_FLOOR = 1e-12
+# the ladder's last increment, between its two finest rungs, scales like
+# (second-finest eps)^delta and clears the floor only while delta stays below
+# this (3 on DEFAULT_LADDER); a larger |delta| is the converged sentinel or
+# the noise of a cancelling ladder, not a measured distance to the threshold
+_RESOLVED_EXPONENT = math.log10(_INCREMENT_FLOOR) / math.log10(sorted(DEFAULT_LADDER)[1])
 # truncations of a positive integrand never decrease as eps shrinks; a rung
 # that falls by more than quadrature noise (up to 4.7e-10 relative on the
 # e7vii ladders that converge) means the monomial sum has cancelled its digits
@@ -281,7 +292,7 @@ def _increment_exponent(values: list[float]) -> float:
     # an increment at rounding level relative to its own step means the
     # truncations already converged to full precision; don't let noise
     # into the ratio
-    floors = [1e-12 * max(abs(a), abs(b)) for a, b in zip(values, values[1:])]
+    floors = [_INCREMENT_FLOOR * max(abs(a), abs(b)) for a, b in zip(values, values[1:])]
     if any(d <= f for d, f in zip(inc, floors)):
         return 10.0
     ratios = [b / a for a, b in zip(inc, inc[1:])]
@@ -378,41 +389,63 @@ def empirical_threshold(
     lambda0: Weight,
     tol: float = 0.05,
 ) -> float:
-    """Recover the critical lambda by bisection on the empirical verdict only.
+    """Recover the critical lambda from the empirical verdict only.
 
     The analytic exponent test is deliberately not consulted; each probe
-    builds the unit-weight spec and reads the increment exponent of its
-    DEFAULT_LADDER at PROBE_ORDER.  Raises ConfigurationError if no bracket
-    can be found, or if a probe's ladder did not run (rank cap, overflow,
-    lost precision).
+    builds the unit-weight spec and reads the increment exponent d of its
+    DEFAULT_LADDER at PROBE_ORDER, convergent when d > 0.  The bracket starts
+    at lambda = -2 and doubles downward (or, if -2 converges, steps up
+    through 0, 4, 8, ...).  Inside it, a resolved d (|d| below
+    _RESOLVED_EXPONENT) is read as the distance lambda_c - lambda, since the
+    exponent falls by one per unit of lambda: the next probe sits tol/4 past
+    that estimate toward the farther end of the bracket, but no farther than
+    its midpoint, and at the midpoint when the estimate lies outside the
+    bracket.  A guided probe that fails to halve the bracket is followed by a
+    midpoint probe, so the search takes at most twice the probes of a
+    bisection.  Returns the midpoint of a bracket no wider than tol,
+    convergent at its lower end and divergent at its upper end.
+
+    Raises ValueError unless tol is finite and positive, or when the bracket
+    reaches the spacing of doubles before it is tol wide, and ConfigurationError
+    if no bracket is found in 8 steps or if a probe's ladder did not run
+    (rank cap, overflow, lost precision).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     ws = weight_system(pair, lambda0)
 
-    def empirically_convergent(lam: float) -> bool:
+    def increment_exponent(lam: float) -> float:
         rep = classify_convergence(build_integrand(pair, ws, lam), DEFAULT_LADDER, PROBE_ORDER)
         if rep.empirical_classification == "not-run":
             raise ConfigurationError(f"eps ladder not run at lambda = {lam}: {rep.note}")
-        return rep.increment_exponent > 0.0
+        return rep.increment_exponent
 
-    hi = 0.0
-    tries = 0
-    while empirically_convergent(hi):
-        hi += 4.0
-        tries += 1
-        if tries > 8:
-            raise ConfigurationError("no divergent endpoint found")
-    lo = -2.0
-    tries = 0
-    while not empirically_convergent(lo):
-        lo *= 2.0
-        tries += 1
-        if tries > 8:
-            raise ConfigurationError("no convergent endpoint found")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if empirically_convergent(mid):
-            lo = mid
+    lo, hi = -math.inf, math.inf
+    lam, steps, guided, width = -2.0, 0, False, math.inf
+    while True:
+        d = increment_exponent(lam)
+        if d > 0.0:
+            lo = lam
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = lam
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        if math.isinf(hi - lo):
+            steps += 1
+            if steps > 8:
+                raise ConfigurationError(
+                    f"no {'divergent' if d > 0.0 else 'convergent'} endpoint found")
+            lam = 2.0 * lam if d <= 0.0 else (0.0 if lam < 0.0 else lam + 4.0)
+            continue
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ValueError(f"tol = {tol} is below the spacing of doubles at lambda = {mid}")
+        estimate = lam + d
+        # tol/4 past the estimate toward the farther end, but not past the midpoint
+        if estimate < mid:
+            target = min(estimate + 0.25 * tol, mid)
+        else:
+            target = max(estimate - 0.25 * tol, mid)
+        trusted = abs(d) < _RESOLVED_EXPONENT and not (guided and hi - lo > 0.5 * width)
+        guided = trusted and lo < target < hi
+        lam, width = (target if guided else mid), hi - lo

@@ -16,6 +16,7 @@ from hdt.integral import (
     MAX_QUADRATURE_RANK,
     PROBE_ORDER,
     ConfigurationError,
+    ConvergenceReport,
     IntegralOverflowError,
     IntegralSpec,
     _cumulative_matrix,
@@ -28,7 +29,12 @@ from hdt.integral import (
     empirical_threshold,
     integrate,
 )
-from hdt.weights import extend_compact_coords, weight_multiplicities, weight_system
+from hdt.weights import (
+    compact_fundamental_weights,
+    extend_compact_coords,
+    weight_multiplicities,
+    weight_system,
+)
 
 
 def _zero(pair):
@@ -341,7 +347,7 @@ def test_shared_sweep_matches_one_sweep_per_eps(label, lam0, lam):
 def test_cancelling_sp4_ladder_still_reads_divergent():
     # at lambda = 0 the sp(4) (1,1,1) ladder cancels in its monomial sum and
     # stays positive only while each rung rounds as it always has; the
-    # threshold bisection needs that probe
+    # threshold search no longer probes lambda = 0, so only this test reads it
     pr = pair_by_label("sp4")
     lam0 = extend_compact_coords(pr, (1, 1, 1))
     ws = weight_system(pr, lam0)
@@ -410,6 +416,106 @@ def test_rank_cap_stops_the_bisection_at_its_first_probe(monkeypatch):
     with pytest.raises(ConfigurationError, match="quadrature cap"):
         empirical_threshold(pr, _zero(pr))
     assert len(probes) == 1
+
+
+def _counting_probes(monkeypatch, report=None):
+    """Count the ladder probes of empirical_threshold; report(spec), when
+    given, replaces the real classification."""
+    import hdt.integral as integral
+
+    probes = []
+    classify = integral.classify_convergence
+
+    def counted(spec, eps_ladder, order):
+        probes.append(spec)
+        return report(spec) if report else classify(spec, eps_ladder, order)
+
+    monkeypatch.setattr(integral, "classify_convergence", counted)
+    return probes
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.05, math.nan, math.inf])
+def test_threshold_tol_must_be_finite_and_positive(monkeypatch, tol):
+    # tol = 0 once bisected forever; nan and inf returned the first bracket
+    probes = _counting_probes(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        empirical_threshold(pair_by_label("su11"), (Fraction(0),), tol=tol)
+    assert probes == []
+
+
+def test_threshold_tol_below_the_spacing_of_doubles_is_refused():
+    # the bracket stops narrowing at one ulp, which is far wider than 1e-300
+    with pytest.raises(ValueError, match="spacing of doubles"):
+        empirical_threshold(pair_by_label("su11"), (Fraction(0),), tol=1e-300)
+
+
+# the ten cases of the benchmark's threshold workload; a bisection takes 108
+# ladder probes on them, 12 of those on sp(4) (1,1,1)
+_BENCH_THRESHOLD_CASES = (
+    ("su11", ()), ("su22", (0, 0)), ("su22", (1, 0)), ("sp2", (0,)), ("sp2", (1,)),
+    ("sp3", (0, 0)), ("sp3", (1, 0)), ("so2_5", (0, 0)), ("so2_5", (1, 0)), ("sp4", (1, 1, 1)),
+)
+
+
+def test_threshold_probe_budget(monkeypatch):
+    probes = _counting_probes(monkeypatch)
+    pr = pair_by_label("sp4")
+    lam0 = extend_compact_coords(pr, (1, 1, 1))
+    assert abs(empirical_threshold(pr, lam0) - (-7.0)) <= 0.05
+    assert len(probes) <= 6
+    probes.clear()
+    for label, coords in _BENCH_THRESHOLD_CASES:
+        pr = pair_by_label(label)
+        lam0 = extend_compact_coords(pr, coords)
+        assert abs(empirical_threshold(pr, lam0) - float(hc_threshold(pr, lam0))) <= 0.05
+    assert len(probes) <= 55
+
+
+def _bisection_probes(convergent, tol: float) -> int:
+    """Probes of the plain bisection: brackets from 0 up and -2 down, then halves."""
+    n, hi = 1, 0.0
+    while convergent(hi):
+        n, hi = n + 1, hi + 4.0
+    n, lo = n + 1, -2.0
+    while not convergent(lo):
+        n, lo = n + 1, 2.0 * lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        n += 1
+        lo, hi = (mid, hi) if convergent(mid) else (lo, mid)
+    return n
+
+
+@pytest.mark.parametrize("misread", [
+    lambda x: 10.0 * x ** 3,
+    lambda x: 1e-3 if x > 0.0 else -1e-3,
+], ids=["cubed", "tiny"])
+@pytest.mark.parametrize("change", [-2.37, -13.3, 3.1])
+def test_threshold_search_ends_with_a_misread_distance(monkeypatch, misread, change):
+    # the increment exponent keeps its sign but misreads the distance
+    # change - lambda to the sign change; min E + 1 = -2 - lambda on sp(2)
+    def report(spec):
+        min_e = float(min(min(row) for row in spec.exponents))
+        d = misread(min_e + 3.0 + change)
+        verdict = "convergent" if d > 0.0 else "divergent"
+        return ConvergenceReport(verdict, min_e, (), math.nan, d, verdict, None)
+
+    probes = _counting_probes(monkeypatch, report)
+    pr = pair_by_label("sp2")
+    thr = empirical_threshold(pr, _zero(pr))
+    assert abs(thr - change) <= 0.025
+    assert len(probes) <= 2 * _bisection_probes(lambda lam: lam < change, 0.05)
+
+
+@pytest.mark.parametrize("label,fundamental", [
+    ("sostar10", None), ("sp4", None), ("sostar8", 0), ("so2_6", 0),
+])
+def test_thresholds_whose_lambda_zero_ladder_cancels(label, fundamental):
+    # the search starts at lambda = -2, so a ladder that cancels at lambda = 0
+    # no longer ends it
+    pr = pair_by_label(label)
+    lam0 = _zero(pr) if fundamental is None else compact_fundamental_weights(pr)[fundamental]
+    assert abs(empirical_threshold(pr, lam0) - float(hc_threshold(pr, lam0))) <= 0.05
 
 
 def test_agreement_sign_with_criterion():
