@@ -4,11 +4,9 @@ and numerical verification of the underlying matrix-model identities."""
 from .cascade import (
     CascadeResult,
     RestrictedData,
-    restricted_coefficients,
     restricted_root_data,
     strongly_orthogonal_cascade,
     verify_rho_identities,
-    weyl_polynomial,
 )
 from .criterion import (
     CriterionVerdict,
@@ -44,7 +42,7 @@ from .weights import (
     extend_compact_coords,
     freudenthal_multiplicity,
     lambda_one,
-    rho_vectors,
+    rho_weight,
     verify_weight_bound,
     weight_system,
 )

@@ -79,17 +79,6 @@ def strongly_orthogonal_cascade(pair: HermitianPair) -> CascadeResult:
     return CascadeResult(pair, gammas)
 
 
-def restricted_coefficients(cr: CascadeResult, alpha: Root) -> tuple[Fraction, ...]:
-    """Coordinates of the restriction of alpha in the basis {gamma_j}.
-
-    Strong orthogonality makes the gammas mutually orthogonal, so this is the
-    orthogonal projection: c_j = (alpha|gamma_j) / (gamma_j|gamma_j), which
-    is half the integer alpha(h_j).
-    """
-    rs = cr.pair.root_system
-    return tuple(Fraction(rs.coroot_pairing(alpha, g), 2) for g in cr.gammas)
-
-
 @lru_cache(maxsize=None)
 def restricted_root_data(pair: HermitianPair) -> RestrictedData:
     """Classify every positive root by its restriction and count multiplicities.
@@ -227,17 +216,3 @@ def verify_rho_identities(pair: HermitianPair) -> RhoReport:
         if v != rd.p:
             raise StructuralError(f"{pair.name}: 2 rho_n(h_{j+1}) = {v} != p = {rd.p}")
     return RhoReport(pair.label, rd.p, rho_hr, two_rho_n)
-
-
-def weyl_polynomial(rd: RestrictedData, x) -> float:
-    """The restricted-root product P(x) = prod x_j^(2b+1) prod_(j<k) (x_k^2 - x_j^2)^a."""
-    xs = list(x)
-    if len(xs) != rd.r:
-        raise ValueError(f"expected {rd.r} coordinates")
-    val = 1.0
-    for xj in xs:
-        val *= float(xj) ** (2 * rd.b + 1)
-    for j in range(rd.r):
-        for k in range(j + 1, rd.r):
-            val *= (float(xs[k]) ** 2 - float(xs[j]) ** 2) ** rd.a
-    return val

@@ -283,7 +283,13 @@ def cmd_verify(args) -> int:
         raise UsageError("--tol-scale must be a finite positive number")
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("HDT_SEED", "0"))
+        text = os.environ.get("HDT_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(f"HDT_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise UsageError(f"the seed must be a non-negative integer, got {seed}")
     results = run_suite(args.scope, seed=seed, tol_scale=args.tol_scale, fast=args.fast)
     failed = [r for r in results if not r.passed]
     if args.output == "json":

@@ -21,7 +21,7 @@ from .weights import (
     _add,
     _validate_lambda0,
     lambda_one,
-    rho_vectors,
+    rho_weight,
     weight_on_coroot,
 )
 
@@ -84,9 +84,8 @@ def hc_condition_original(inp: HighestWeightInput) -> OriginalFormResult:
     """(Lambda + rho)(h_gamma) < 0 for every noncompact positive gamma."""
     pair = inp.pair
     rs = pair.root_system
-    rho, _ = rho_vectors(pair)
     lam1 = lambda_one(pair)
-    base = _add(inp.lambda0, rho)
+    base = _add(inp.lambda0, rho_weight(pair))
     vals = []
     witnesses = []
     for gamma in partition_roots(pair).noncompact_pos:
@@ -149,9 +148,8 @@ def reduction_trace(inp: HighestWeightInput) -> tuple[TraceEntry, ...]:
     pair = inp.pair
     rs = pair.root_system
     gamma_r = strongly_orthogonal_cascade(pair).gammas[-1]
-    rho, _ = rho_vectors(pair)
     lam1 = lambda_one(pair)
-    base = _add(inp.lambda0, rho)
+    base = _add(inp.lambda0, rho_weight(pair))
 
     def full_pairing(v) -> Fraction:
         # (w|v) = w(h_v) (v|v) / 2

@@ -30,12 +30,6 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
-    if len(m) and len(m[0]) != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(sum((rat(mij) * rat(vj) for mij, vj in zip(row, v)), Fraction(0)) for row in m)
-
-
 def solve_linear(m: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
     """Solve m x = v exactly for square invertible m over the rationals.
 

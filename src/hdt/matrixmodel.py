@@ -29,8 +29,6 @@ FD_STEP = 1e-5  # central-difference step of jacobian_matrix
 SU_SCALE = 0.6  # default spread of random_su's Lie algebra entries
 MAX_NORM = 0.8  # default bound on random_domain_point's spectral norm
 
-DomainPoint = np.ndarray  # p x q complex, spectral norm < 1
-
 
 class OutsideCellError(ValueError):
     """g . exp(z) left the open factorizable cell (singular lower block)."""
@@ -85,10 +83,6 @@ class BlockMatrixElement:
     @property
     def D(self) -> np.ndarray:
         return self.mat[..., self.p :, self.p :]
-
-    @property
-    def det(self) -> complex | np.ndarray:
-        return np.linalg.det(self.mat)
 
     def __matmul__(self, other: "BlockMatrixElement") -> "BlockMatrixElement":
         return BlockMatrixElement(self.mat @ other.mat, self.p, self.q)
@@ -256,15 +250,9 @@ def hc_factorize(g: BlockMatrixElement, z: np.ndarray) -> FactorizationResult:
     OutsideCellError when some D' is singular, which cannot happen for
     group elements acting on interior points.
     """
-    z = np.asarray(z, dtype=complex)
-    a, b = g.A, g.A @ z + g.B
-    c, d = g.C, g.C @ z + g.D
-    _require_invertible(d, g, z)
-    try:
-        y = np.linalg.solve(d, c)
-        w = _right_divide(b, d)
-    except np.linalg.LinAlgError as exc:
-        raise OutsideCellError("lower-right block is singular") from exc
+    a, c = g.A, g.C
+    b, d, w = _image(g, z)
+    y = _solve(d, c)
     k_plus = a - w @ c
     # upper . diag . lower = [[k_plus + w D' y, w D'], [D' y, D']]
     wd = w @ d
@@ -274,9 +262,17 @@ def hc_factorize(g: BlockMatrixElement, z: np.ndarray) -> FactorizationResult:
     return FactorizationResult(w, k_plus, d, y, res / np.maximum(1.0, scale))
 
 
+def _solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d^-1 b for a lower-right block d; a singular d is outside the cell."""
+    try:
+        return np.linalg.solve(d, b)
+    except np.linalg.LinAlgError as exc:
+        raise OutsideCellError("lower-right block is singular") from exc
+
+
 def _right_divide(b: np.ndarray, d: np.ndarray) -> np.ndarray:
     """b d^-1, through the transposed system."""
-    return np.swapaxes(np.linalg.solve(np.swapaxes(d, -2, -1), np.swapaxes(b, -2, -1)), -2, -1)
+    return np.swapaxes(_solve(np.swapaxes(d, -2, -1), np.swapaxes(b, -2, -1)), -2, -1)
 
 
 def _require_invertible(d: np.ndarray, g: BlockMatrixElement, z: np.ndarray):
@@ -287,16 +283,20 @@ def _require_invertible(d: np.ndarray, g: BlockMatrixElement, z: np.ndarray):
         raise OutsideCellError("lower-right block is singular: outside the open cell")
 
 
+def _image(g: BlockMatrixElement, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A z + B, C z + D and the image point (A z + B)(C z + D)^-1.
+
+    Raises OutsideCellError when some C z + D is singular.
+    """
+    z = np.asarray(z, dtype=complex)
+    num, den = g.A @ z + g.B, g.C @ z + g.D
+    _require_invertible(den, g, z)
+    return num, den, _right_divide(num, den)
+
+
 def mobius_action(g: BlockMatrixElement, z: np.ndarray) -> np.ndarray:
     """(A z + B)(C z + D)^-1."""
-    z = np.asarray(z, dtype=complex)
-    num = g.A @ z + g.B
-    den = g.C @ z + g.D
-    _require_invertible(den, g, z)
-    try:
-        return _right_divide(num, den)
-    except np.linalg.LinAlgError as exc:
-        raise OutsideCellError("lower-right block is singular") from exc
+    return _image(g, z)[2]
 
 
 def multiplier(g: BlockMatrixElement, z: np.ndarray, power: int) -> complex:
@@ -344,19 +344,12 @@ def jacobian_matrix(g: BlockMatrixElement, z: np.ndarray) -> np.ndarray:
     The map is holomorphic, so differences along real coordinate directions
     determine the full complex derivative.
     """
-    p, q = g.p, g.q
+    n = g.p * g.q
     z = np.asarray(z, dtype=complex)
-    jac = np.zeros((p * q, p * q), dtype=complex)
-    col = 0
-    for k in range(p):
-        for l in range(q):
-            dz = np.zeros((p, q), dtype=complex)
-            dz[k, l] = FD_STEP
-            wp = mobius_action(g, z + dz)
-            wm = mobius_action(g, z - dz)
-            jac[:, col] = ((wp - wm) / (2.0 * FD_STEP)).ravel()
-            col += 1
-    return jac
+    # dz[k q + l] steps the (k, l) entry; one stacked action over z + dz, z - dz
+    dz = FD_STEP * np.eye(n, dtype=complex).reshape(n, g.p, g.q)
+    w = mobius_action(g, np.concatenate([z + dz, z - dz]))
+    return ((w[:n] - w[n:]) / (2.0 * FD_STEP)).reshape(n, n).T
 
 
 def jacobian_at_origin(p: int, q: int, t) -> tuple[float, float, float]:
@@ -398,8 +391,9 @@ def verify_Q_transformation(
     p, q = g.p, g.q
     w = mobius_action(g, z)
     m = multiplier(g, z, power)
-    q_z = h_polynomial(z, z).real ** power
-    q_w = h_polynomial(w, w).real ** power
+    h_z = h_polynomial(z, z).real
+    h_w = h_polynomial(w, w).real
+    q_z, q_w = h_z ** power, h_w ** power
     res_transform = abs(q_w - q_z / abs(m) ** 2) / abs(q_w)
 
     out = {"transform": float(res_transform)}
@@ -410,8 +404,6 @@ def verify_Q_transformation(
 
     genus = p + q
     jac = complex(np.linalg.det(jacobian_matrix(g, z)))
-    h_z = h_polynomial(z, z).real
-    h_w = h_polynomial(w, w).real
     inv_minus = h_w ** (-genus) * abs(jac) ** 2 / h_z ** (-genus)
     inv_plus = h_w ** (genus) * abs(jac) ** 2 / h_z ** (genus)
     out["measure_exponent_minus"] = float(abs(inv_minus - 1.0))

@@ -208,11 +208,6 @@ class RootSystem:
             return False
         return t in self._coroots
 
-    def reflect(self, alpha: Sequence, v: Sequence) -> tuple:
-        """Reflection of v in the hyperplane orthogonal to the root alpha."""
-        c = self.coroot_pairing(v, alpha)
-        return tuple(vi - c * ai for vi, ai in zip(v, alpha))
-
     def fundamental_weight(self, i: int) -> tuple[Fraction, ...]:
         """The i-th fundamental weight in simple-root coordinates."""
         return _fundamental_weights(self)[i]

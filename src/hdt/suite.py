@@ -20,7 +20,7 @@ from .weights import (
     compact_fundamental_weights,
     extend_compact_coords,
     lambda_one,
-    rho_vectors,
+    rho_weight,
     verify_weight_bound,
     weight_on_coroot,
     weight_system,
@@ -73,8 +73,7 @@ def run_exact_suite() -> list[CheckResult]:
         bad = sum(1 for g in cr.gammas if weight_on_coroot(rs, lam1, g) != 1)
         out.append(_check(f"{pair.label}: Lambda_1(h_j) = 1", bad, 0))
 
-        rho, _ = rho_vectors(pair)
-        bad = sum(1 for c in rho if c != 1)
+        bad = sum(1 for c in rho_weight(pair) if c != 1)
         out.append(_check(f"{pair.label}: rho(h_alpha) = 1 on simple coroots", bad, 0))
 
         lambda0s = [_zero_lambda0(pair)]

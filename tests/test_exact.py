@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hdt.exact import SingularMatrixError, mat_vec, solve_linear
+from hdt.exact import SingularMatrixError, solve_linear
 
 
 def test_solve_identity():
@@ -48,7 +48,7 @@ rationals = st.fractions(
 def test_solve_roundtrip(mx):
     m, x = mx
     try:
-        v = mat_vec(m, x)
+        v = [sum((mij * xj for mij, xj in zip(row, x)), Fraction(0)) for row in m]
         assert solve_linear(m, v) == tuple(x)
     except SingularMatrixError:
         pass  # singular draws are legitimate; nothing to check

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hdt.cascade import restricted_root_data, weyl_polynomial
+from hdt.cascade import restricted_root_data
 from hdt.criterion import hc_threshold
 from hdt.hermitian import catalog, pair_by_label
 from hdt.integral import (
@@ -204,6 +204,31 @@ def test_simplex_equals_symmetrized_cube():
         val = integrate(spec, 1e-4)
         oracle = _cube_integral_oracle(spec.exponents[0], rd.a, rd.b, 1e-4)
         assert val == pytest.approx(oracle, rel=1e-8)
+
+
+def weyl_polynomial(rd, x) -> float:
+    """The restricted-root product P(x) = prod x_j^(2b+1) prod_(j<k) (x_k^2 - x_j^2)^a,
+    evaluated as a product: the oracle for _p_monomials' expansion."""
+    xs = list(x)
+    if len(xs) != rd.r:
+        raise ValueError(f"expected {rd.r} coordinates")
+    val = 1.0
+    for xj in xs:
+        val *= float(xj) ** (2 * rd.b + 1)
+    for j in range(rd.r):
+        for k in range(j + 1, rd.r):
+            val *= (float(xs[k]) ** 2 - float(xs[j]) ** 2) ** rd.a
+    return val
+
+
+def test_weyl_polynomial():
+    rd1 = restricted_root_data(pair_by_label("su11"))  # r=1, b=0
+    assert weyl_polynomial(rd1, [0.37]) == pytest.approx(0.37)
+    rd2 = restricted_root_data(pair_by_label("sp2"))  # r=2, a=1, b=0
+    assert weyl_polynomial(rd2, [0.5, 1.0]) == pytest.approx(3.0 / 8.0)
+    assert weyl_polynomial(rd2, [0.4, 0.4]) == 0.0
+    with pytest.raises(ValueError):
+        weyl_polynomial(rd2, [0.1])
 
 
 def test_monomial_expansion_matches_weyl_polynomial():

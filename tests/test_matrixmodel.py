@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hdt.matrixmodel import (
+    FD_STEP,
     BlockMatrixElement,
     OutsideCellError,
     cayley_verify,
@@ -40,7 +41,7 @@ def test_membership_invariant():
         for _ in range(20):
             g = random_su(RNG, p, q)
             assert np.max(np.abs(g.mat.conj().T @ e @ g.mat - e)) < 1e-10
-            assert abs(g.det - 1.0) < 1e-8
+            assert abs(np.linalg.det(g.mat) - 1.0) < 1e-8
     with pytest.raises(ValueError):
         BlockMatrixElement(np.diag([2.0, 1.0]).astype(complex), 1, 1)
 
@@ -158,6 +159,22 @@ def test_automorphy_determinant_is_jacobian():
     det_formula = np.linalg.det(f.k_plus) ** 3 * np.linalg.det(f.k_minus) ** (-2)
     det_fd = np.linalg.det(jacobian_matrix(g, z))
     assert abs(det_formula - det_fd) / abs(det_fd) < 1e-6
+
+
+def test_jacobian_matrix_equals_columnwise_differences():
+    # reference: one central difference per entry (k, l), column k q + l;
+    # the arithmetic is the same, so the stacked Jacobian is equal bit for bit
+    rng = np.random.default_rng(29)
+    for (p, q) in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
+        for _ in range(5):
+            g, z = random_su(rng, p, q), random_domain_point(rng, p, q)
+            want = np.zeros((p * q, p * q), dtype=complex)
+            for col in range(p * q):
+                dz = np.zeros((p, q), dtype=complex)
+                dz[divmod(col, q)] = FD_STEP
+                diff = mobius_action(g, z + dz) - mobius_action(g, z - dz)
+                want[:, col] = (diff / (2.0 * FD_STEP)).ravel()
+            assert np.array_equal(jacobian_matrix(g, z), want), (p, q)
 
 
 def test_h_polynomial_values():

@@ -6,17 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from hdt.cascade import strongly_orthogonal_cascade
+from hdt.cascade import strongly_orthogonal_cascade, verify_rho_identities
 from hdt.hermitian import catalog, compact_nodes, pair_by_label
 from hdt.weights import (
     _weyl_dimension,
     compact_fundamental_weights,
-    compact_reflection,
     extend_compact_coords,
     freudenthal_multiplicity,
-    inner_weight_root,
     lambda_one,
-    rho_vectors,
+    rho_weight,
     verify_weight_bound,
     weight_multiplicities,
     weight_on_coroot,
@@ -24,10 +22,20 @@ from hdt.weights import (
 )
 
 
+def inner_weight_root(rs, w, alpha) -> Fraction:
+    """(w | alpha) = w(alpha^vee) (alpha|alpha) / 2 for w in weight coordinates."""
+    return Fraction(weight_on_coroot(rs, w, alpha) * rs.inner2(alpha, alpha), 4)
+
+
+def compact_reflection(pair, node, w):
+    """Simple reflection at a compact node, acting in weight coordinates."""
+    row = pair.root_system.cartan[node]
+    return tuple(m - w[node] * ri for m, ri in zip(w, row))
+
+
 def test_rho_unit_coordinates_everywhere():
     for pr in catalog():
-        rho, _ = rho_vectors(pr)
-        assert all(c == 1 for c in rho)
+        assert all(c == 1 for c in rho_weight(pr))
 
 
 def test_coroot_table_matches_gram_formula():
@@ -42,7 +50,7 @@ def test_coroot_table_matches_gram_formula():
             return [sum(w[j] * rs.fundamental_weight(j)[i] for j in range(n)) for i in range(n)]
 
         rho_roots = [Fraction(sum(a[i] for a in rs.positive_roots), 2) for i in range(n)]
-        phis = [(rho_vectors(pr)[0], rho_roots), (lambda_one(pr), in_roots(lambda_one(pr)))]
+        phis = [(rho_weight(pr), rho_roots), (lambda_one(pr), in_roots(lambda_one(pr)))]
         phis += [(w, in_roots(w)) for w in compact_fundamental_weights(pr)]
         sq = {
             alpha: sum(alpha[i] * gram[i][j] * alpha[j] for i in range(n) for j in range(n))
@@ -60,17 +68,14 @@ def test_coroot_table_matches_gram_formula():
 
 def test_su11_rho_values():
     pr = pair_by_label("su11")
-    rho, rho_n = rho_vectors(pr)
-    assert rho == (Fraction(1),)  # rho = alpha_1 / 2, so rho(h_1) = 1
-    assert 2 * rho_n[0] == 2  # 2 rho_n(h_1) = p
+    assert rho_weight(pr) == (Fraction(1),)  # rho = alpha_1 / 2, so rho(h_1) = 1
+    assert verify_rho_identities(pr).two_rho_n_on_h == (2,)  # 2 rho_n(h_1) = p
 
 
 def test_sp2_rho_n():
     pr = pair_by_label("sp2")
-    rs = pr.root_system
-    _, rho_n = rho_vectors(pr)
-    for g in strongly_orthogonal_cascade(pr).gammas:
-        assert 2 * weight_on_coroot(rs, rho_n, g) == 3
+    # 2 rho_n(h_j) = p = 3 on both cascade coroots
+    assert verify_rho_identities(pr).two_rho_n_on_h == (3, 3)
 
 
 def test_lambda_one_definition():
@@ -224,8 +229,6 @@ def test_dominance_orbit_step():
     # explicit orbit computation: reflect each weight to the dominant chamber
     # of the compact part, apply the same word to gamma_j, and check
     # (lambda0 | w gamma_j) <= (lambda0 | gamma_r)
-    from hdt.weights import inner_weight_root
-
     pr = pair_by_label("sp3")
     rs = pr.root_system
     gammas = strongly_orthogonal_cascade(pr).gammas
@@ -245,7 +248,9 @@ def test_dominance_orbit_step():
         for g in gammas:
             img = tuple(Fraction(c) for c in g)
             for node in word:  # same word, applied in the same order
-                img = rs.reflect(rs.simple_roots[node], img)
+                alpha = rs.simple_roots[node]
+                c = rs.coroot_pairing(img, alpha)
+                img = tuple(v - c * a for v, a in zip(img, alpha))
             assert inner_weight_root(rs, lam0, img) <= inner_weight_root(
                 rs, lam0, gammas[-1]
             )
