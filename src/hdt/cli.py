@@ -21,7 +21,7 @@ from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_r
 from .criterion import HighestWeightInput, hc_condition, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
 from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_ORDER, MAX_QUADRATURE_RANK,
-                       MIN_EPS, build_integrand, classify_convergence, formal_scalar)
+                       MIN_EPS, build_integrand, classify_convergence, closed_form_integral)
 from .suite import run_suite
 from .weights import extend_compact_coords, weight_system
 
@@ -237,8 +237,11 @@ def cmd_integrate(args) -> int:
     spec = build_integrand(pair, ws, lam, with_multiplicities=rd.r <= MAX_QUADRATURE_RANK)
     report = classify_convergence(spec, ladder, args.order)
     scalar, note = None, report.note
-    if report.classification == "convergent" and report.empirical_classification != "not-run":
-        scalar, note = formal_scalar(spec, lam, min(ladder), args.order)
+    if report.classification == "convergent":
+        scalar = closed_form_integral(pair, lam0, lam)
+        if rd.r == 1:
+            scalar *= (-float(lam) - 1.0) / math.pi
+            note = "disc normalization (k-1)/pi applied, k = -lambda"
 
     if args.output == "json":
         data = {
@@ -274,7 +277,8 @@ def cmd_integrate(args) -> int:
         print(f"empirical classification: {report.empirical_classification}")
     print(f"classification: {report.classification}")
     if scalar is not None:
-        print(f"formal dimension scalar: {fmt(scalar)}  [{note}]")
+        # any other note is the not-run reason, printed above
+        print(f"formal dimension scalar: {fmt(scalar)}" + (f"  [{note}]" if rd.r == 1 else ""))
     return EXIT_OK
 
 
@@ -369,6 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fewer factorization triples (100 per su(p,q) instead of 1000)")
     p.add_argument("--output", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_verify)
+    for parser in (ap, *sub.choices.values()):
+        # argparse's own errors end in one line too, without its usage block
+        parser.error = lambda message: ap.exit(EXIT_USAGE, f"error: {message}\n")
     return ap
 
 

@@ -4,19 +4,16 @@ The integrand is a sum over compact-part weights of products
 (1-x_j^2)^E_{s,j} times the restricted-root polynomial P(x), integrated over
 0 <= x_1 <= ... <= x_r <= 1-eps.  Convergence is decided analytically from
 the exponents (finite iff every E_{s,j} > -1) and corroborated numerically
-on an eps-ladder of truncations; each caller decides what to do with the
-report (`hdt integrate` adds the formal-dimension scalar, the threshold
-search reads only the empirical exponent).  The threshold search reads that
-exponent as the distance to the critical lambda where it is resolved and
-probes just past it, with bisection steps as the fallback that bounds its
-probe count.  Quadrature is tensorized Gauss-Legendre on panels
-geometrically graded toward the singular face, with the ordering handled by
-nested cumulative integration (exact on each panel for polynomial degree
-below the order).  The graded panels of every eps are a prefix of those of
-a smaller one, so a whole ladder is one sweep: the shared panels once, then
-one tail panel per eps.  Only the quadrature functions import numpy, when
-first called, so importing this module (as every CLI command does) loads no
-numpy.
+on an eps-ladder of truncations, whose exponent also guides the threshold
+search.  A convergent integral's value is not read off the ladder: it is
+Harish-Chandra's formal-degree product, in closed form.  Quadrature is
+tensorized Gauss-Legendre on panels graded geometrically toward the
+singular face, with the ordering handled by nested cumulative integration
+(exact on each panel for polynomial degree below the order).  The graded
+panels of every eps are a prefix of those of a smaller one, so a whole
+ladder is one sweep: the shared panels once, then one tail panel per eps.
+Only the quadrature functions import numpy, when first called, so importing
+this module (as every CLI command does) loads no numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from functools import lru_cache
 from math import comb
 
 from .cascade import restricted_root_data, strongly_orthogonal_cascade
-from .criterion import as_exact
+from .criterion import HighestWeightInput, as_exact, hc_condition_original
 from .hermitian import HermitianPair
 from .weights import (
     KssWeightSystem,
@@ -38,6 +35,7 @@ from .weights import (
     weight_multiplicities,
     weight_on_coroot,
     weight_system,
+    weyl_dimension,
 )
 
 
@@ -352,33 +350,28 @@ def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEF
     )
 
 
-# formal_scalar extrapolates from eps * 1e-3, where 1 - x^2 must still be
-# a nonzero double next to x = 1 - eps * 1e-3
+# the documented floor of the --eps range; no sweep runs below the ladder
 MIN_EPS = 1e-12
 
 
-def formal_scalar(spec: IntegralSpec, lam, eps_base: float,
-                  order: int = DEFAULT_ORDER) -> tuple[float, str]:
-    """Value of the full integral, tail-extrapolated with the known exponent;
-    returns (value, note).
-
-    Meaningful for a convergent spec whose ladder ran down to eps_base: the
-    tail is extrapolated from truncations at eps_base * 1e-2 and * 1e-3.
-    All constants the polar-coordinate formula leaves unpinned are set to 1,
-    so this is meaningful up to normalization only; in rank one the familiar
-    disc factor (k-1)/pi with k = -lambda is applied for display.
+def closed_form_integral(pair: HermitianPair, lambda0: Weight, lam) -> float:
+    """The full integral below the threshold, trace weighted by multiplicity:
+    Harish-Chandra's formal-degree product, normalized by the Faraut-Koranyi
+    volume, S(r,a,b) dim tau_Lambda0 prod_beta (rho - p Lambda_1)(h_beta) /
+    (Lambda + rho)(h_beta) over noncompact positive beta, where S(r,a,b) is
+    the integral at Lambda0 = 0, lambda = -p (every exponent E = 0).
     """
-    e1, e2 = eps_base * 1e-2, eps_base * 1e-3
-    i1, i2 = _truncations(spec, (e1, e2), order)
-    delta = float(min(min(row) for row in spec.exponents)) + 1.0
-    rho = 10.0 ** (-delta)
-    value = i2 + (i2 - i1) * rho / (1.0 - rho) if rho < 1.0 else i2
-    note = "up to normalization (c := 1)"
-    if spec.r == 1:
-        k = -float(as_exact(lam))
-        value *= (k - 1.0) / math.pi
-        note = "disc normalization (k-1)/pi applied, k = -lambda"
-    return value, note
+    rd = restricted_root_data(pair)
+    here = hc_condition_original(HighestWeightInput(pair, lambda0, lam))
+    if not here.exists:
+        raise ValueError(f"{pair.label}: lambda = {lam} is not below the threshold")
+    at_e0 = hc_condition_original(HighestWeightInput(pair, (0,) * len(lambda0), -rd.p))
+    ratio = weyl_dimension(pair, lambda0) * math.prod(at_e0.values) / math.prod(here.values)
+    # S(r,a,b) = S_r(b+1, 1, a/2) / (r! 2^r), Selberg's integral; no Gamma sees lambda
+    r, b, g = rd.r, rd.b, rd.a / 2
+    log_s = sum(math.lgamma(b + 1 + j * g) + math.lgamma(1 + j * g) + math.lgamma(1 + (j + 1) * g)
+                - math.lgamma(b + 2 + (r + j - 1) * g) - math.lgamma(1 + g) for j in range(r))
+    return math.exp(log_s - math.lgamma(r + 1) - r * math.log(2)) * float(ratio)
 
 
 # -- empirical threshold ------------------------------------------------------

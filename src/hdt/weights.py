@@ -184,9 +184,9 @@ def _add(u: Weight, v: Weight) -> Weight:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _weyl_dimension(pair: HermitianPair, lambda0: Weight) -> Fraction:
-    # cross-check oracle for the multiplicity recursion, not public API:
-    # prod (lam + rho_c | alpha) / (rho_c | alpha), each ratio read on alpha^vee
+def weyl_dimension(pair: HermitianPair, lambda0: Weight) -> Fraction:
+    # dim tau_lambda0 = prod (lam + rho_c | alpha) / (rho_c | alpha) over the
+    # compact positive roots, each ratio read on alpha^vee; no weight is built
     rs = pair.root_system
     compact_pos = partition_roots(pair).compact_pos
     two_rho_c = rs.weight_coords(root_sum(rs, compact_pos))

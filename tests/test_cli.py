@@ -83,8 +83,12 @@ def test_exit_codes_matrix():
     assert run_cli("criterion", "su11", "--lambda", "1e-3").returncode == 2
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "1").returncode == 2
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "-1,0").returncode == 2
-    assert run_cli("nonsense").returncode == 2
-    # below eps = 1e-12 the scalar's tail truncations round 1 - x^2 to 0
+    # argparse's own errors (bad command, missing option, bad type) are one line too
+    for bad in (("nonsense",), ("criterion", "su11"), ("verify", "numeric", "--seed", "abc")):
+        res = run_cli(*bad)
+        assert res.returncode == 2, bad
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    # eps = 1e-12 is the documented floor of the --eps range; no sweep needs it
     # above MAX_ORDER the cumulative matrix alone would run for minutes
     for bad in (("--eps", "1e-2,1e-3"), ("--eps", "1e-2,1e-2,1e-2"), ("--order", "0"),
                 ("--order", "129"), ("--order", "1000000"),
@@ -224,7 +228,7 @@ def test_integrate_su11_value():
 @pytest.mark.parametrize("extra,order", [((), 24), (("--order", "16"), 16)],
                          ids=["default", "order16"])
 def test_integrate_runs_the_order_given(monkeypatch, capsys, extra, order):
-    # the eps ladder and the scalar's tail truncations both sweep at --order
+    # the eps ladder is the one sweep, at --order; the scalar is a closed form
     import hdt.cli
     import hdt.integral as integral
 
@@ -238,7 +242,7 @@ def test_integrate_runs_the_order_given(monkeypatch, capsys, extra, order):
     monkeypatch.setattr(integral, "_truncations", counted)
     assert hdt.cli.main(["integrate", "su11", "--lambda", "-3", *extra]) == 0
     assert "formal dimension scalar" in capsys.readouterr().out
-    assert orders == [order, order]
+    assert orders == [order]
 
 
 def test_integrate_divergent_exit_zero():
@@ -288,7 +292,9 @@ def test_integrate_e7vii_rank_three():
     assert data["classification"] == "convergent"
     assert data["min_exponent"] == pytest.approx(2.0)
     assert len(data["ladder"]) == 4
-    assert "up to normalization" in data["scalar_note"]
+    # Selberg's S_3(1, 3, 4) / (3! 2^3): every Gamma argument is an integer
+    assert data["formal_dimension_scalar"] == pytest.approx(1 / 1797624148320, rel=1e-14)
+    assert data["scalar_note"] is None
 
 
 def test_analyze_json_fields():

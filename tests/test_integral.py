@@ -1,5 +1,6 @@
 """Quadrature correctness against closed forms and convergence classification."""
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -26,6 +27,7 @@ from hdt.integral import (
     _truncations,
     build_integrand,
     classify_convergence,
+    closed_form_integral,
     empirical_threshold,
     integrate,
 )
@@ -165,6 +167,49 @@ def test_grouped_integral_is_the_weighted_trace():
         assert one.multiplicities == (1,)
         trace += mults[mu] * integrate(one, 1e-3, 16)
     assert integrate(grouped, 1e-3, 16) == pytest.approx(trace, rel=1e-12)
+
+
+@pytest.mark.parametrize("label,lam,value", [
+    ("su11", -3, Fraction(1, 4)),
+    ("sp2", Fraction(-5, 2), Fraction(1, 6)),
+    ("su22", Fraction(-7, 2), Fraction(4, 45)),
+], ids=["su11", "sp2", "su22"])
+def test_closed_form_exact_values(label, lam, value):
+    # Lambda0 = 0: su11 is 1/(2(-lambda-1)); sp2 and su22 are Selberg at E = -1/2
+    pr = pair_by_label(label)
+    assert closed_form_integral(pr, _zero(pr), lam) == pytest.approx(float(value), rel=1e-15)
+    with pytest.raises(ValueError):
+        closed_form_integral(pr, _zero(pr), hc_threshold(pr, _zero(pr)))
+
+
+def test_closed_form_matches_the_finest_rung():
+    # every rank <= 4 pair at Lambda0 = 0 and its first and last compact
+    # fundamental weights, at 4 and 9/2 below the threshold; the finest rung
+    # misses the full integral by about (1e-5)^4, far below the tolerance
+    cases = 0
+    for pr in catalog():
+        if restricted_root_data(pr).r > MAX_QUADRATURE_RANK:
+            continue
+        fundamentals = compact_fundamental_weights(pr)
+        for lam0 in dict.fromkeys((_zero(pr), *fundamentals[:1], *fundamentals[-1:])):
+            ws = weight_system(pr, lam0)
+            for lam in (hc_threshold(pr, lam0) - 4, hc_threshold(pr, lam0) - Fraction(9, 2)):
+                spec = build_integrand(pr, ws, lam, with_multiplicities=True)
+                quad = integrate(spec, min(DEFAULT_LADDER))
+                exact = closed_form_integral(pr, lam0, lam)
+                assert abs(quad - exact) <= 1e-8 * exact, (pr.label, lam0, lam, quad, exact)
+                cases += 1
+    assert cases == 212
+
+
+def test_integrate_reports_the_closed_form_far_below_the_threshold(capsys):
+    # at lambda = -10^6 the su11 ladder reads 8.73e-7 where the integral is
+    # 5.0e-7; the reported value, with the disc factor, is 1/(2 pi) at any lambda
+    from hdt.cli import main
+
+    assert main(["integrate", "su11", "--lambda", "-1000000", "--output", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["formal_dimension_scalar"] == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
 
 def _cube_integral_oracle(exponents, a, b, eps, order=24):

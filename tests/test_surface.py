@@ -11,8 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {
     "fundamental_weight": "the only caller in src of exact.solve_linear, which the "
                           "benchmark times as a layer of its own",
-    "_weyl_dimension": "the Weyl dimension formula, the independent oracle that the "
-                       "multiplicity recursion is checked against",
 }
 
 

@@ -9,7 +9,6 @@ import pytest
 from hdt.cascade import strongly_orthogonal_cascade, verify_rho_identities
 from hdt.hermitian import catalog, compact_nodes, pair_by_label
 from hdt.weights import (
-    _weyl_dimension,
     compact_fundamental_weights,
     extend_compact_coords,
     freudenthal_multiplicity,
@@ -19,6 +18,7 @@ from hdt.weights import (
     weight_multiplicities,
     weight_on_coroot,
     weight_system,
+    weyl_dimension,
 )
 
 
@@ -180,7 +180,7 @@ def test_multiplicities_sum_to_weyl_dimension(label, lam0, dim):
     pr = pair_by_label(label)
     full = extend_compact_coords(pr, lam0)
     ws = weight_system(pr, full)
-    assert _weyl_dimension(pr, full) == dim
+    assert weyl_dimension(pr, full) == dim
     assert sum(weight_multiplicities(ws).values()) == dim
 
 
