@@ -20,10 +20,10 @@ from fractions import Fraction
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
 from .criterion import HighestWeightInput, hc_condition, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
-from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_ORDER, MAX_QUADRATURE_RANK,
-                       MIN_EPS, build_integrand, classify_convergence, closed_form_integral)
+from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_ORDER, MIN_EPS, build_integrand,
+                       classify_convergence, closed_form_integral, not_run, trace_over_budget)
 from .suite import run_suite
-from .weights import extend_compact_coords, weight_system
+from .weights import extend_compact_coords, weight_system, weyl_dimension
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -76,6 +76,10 @@ def _get_pair(label: str):
         raise UsageError(exc.args[0]) from exc
 
 
+def _restricted_fields(rd) -> dict:
+    return {"r": rd.r, "a": rd.a if rd.a_defined else None, "b": rd.b, "p": rd.p}
+
+
 def _catalog_rows():
     rows = []
     for pair in catalog():
@@ -85,10 +89,7 @@ def _catalog_rows():
             "name": pair.name,
             "cartan": str(pair.cartan_type),
             "node": pair.node + 1,
-            "r": rd.r,
-            "a": rd.a if rd.a_defined else None,
-            "b": rd.b,
-            "p": rd.p,
+            **_restricted_fields(rd),
             "dim": dim_p_plus(pair),
             "restricted": rd.type_tag,
         })
@@ -128,10 +129,7 @@ def cmd_analyze(args) -> int:
             "cartan": str(pair.cartan_type),
             "node": pair.node + 1,
             "compact_nodes": [n + 1 for n in compact_nodes(pair)],
-            "r": rd.r,
-            "a": rd.a if rd.a_defined else None,
-            "b": rd.b,
-            "p": rd.p,
+            **_restricted_fields(rd),
             "dim": dim_p_plus(pair),
             "restricted": rd.type_tag,
             "gammas": [list(g) for g in cr.gammas],
@@ -185,10 +183,7 @@ def cmd_criterion(args) -> int:
     if args.output == "json":
         data = {
             "pair": pair.label,
-            "r": rd.r,
-            "a": rd.a if rd.a_defined else None,
-            "b": rd.b,
-            "p": rd.p,
+            **_restricted_fields(rd),
             "threshold": str(verdict.threshold),
             "exists": verdict.exists,
             "checks": checks,
@@ -231,13 +226,20 @@ def cmd_integrate(args) -> int:
         raise UsageError("eps values must be distinct")
     if not 1 <= args.order <= MAX_ORDER:
         raise UsageError(f"order must be in [1, {MAX_ORDER}]")
-    ws = weight_system(pair, lam0)
     rd = restricted_root_data(pair)
-    # above the rank cap only the exponents are read: skip the multiplicities
-    spec = build_integrand(pair, ws, lam, with_multiplicities=rd.r <= MAX_QUADRATURE_RANK)
-    report = classify_convergence(spec, ladder, args.order)
+    # the verdict and the smallest exponent -lambda - p - Lambda0(h_r) are the
+    # criterion's; the weights only run the eps ladder, within the budget
+    verdict = hc_condition(HighestWeightInput(pair, lam0, lam))
+    classification = "convergent" if verdict.exists else "divergent"
+    min_exponent = float(verdict.threshold - lam - 1)
+    if over := trace_over_budget(pair, lam0):
+        ws, report = None, not_run(over)
+    else:
+        ws = weight_system(pair, lam0)
+        spec = build_integrand(pair, ws, lam, with_multiplicities=True)
+        report = classify_convergence(spec, ladder, args.order)
     scalar, note = None, report.note
-    if report.classification == "convergent":
+    if verdict.exists:
         scalar = closed_form_integral(pair, lam0, lam)
         if rd.r == 1:
             scalar *= (-float(lam) - 1.0) / math.pi
@@ -246,14 +248,11 @@ def cmd_integrate(args) -> int:
     if args.output == "json":
         data = {
             "pair": pair.label,
-            "r": rd.r,
-            "a": rd.a if rd.a_defined else None,
-            "b": rd.b,
-            "p": rd.p,
+            **_restricted_fields(rd),
             "lambda": str(lam),
-            "classification": report.classification,
+            "classification": classification,
             "empirical": report.empirical_classification,
-            "min_exponent": report.min_exponent,
+            "min_exponent": min_exponent,
             "ladder": [{"eps": e, "estimate": v} for e, v in report.truncated_values],
             # NaN when the ladder did not run; JSON has no NaN
             "fitted_slope": _finite_or_none(report.fitted_slope),
@@ -265,7 +264,9 @@ def cmd_integrate(args) -> int:
         return EXIT_OK
 
     print(f"pair {pair.label}  lambda {lam}  rank r = {rd.r}  genus p = {rd.p}")
-    print(f"weights in trace: {len(ws.weights)}  min exponent: {fmt(report.min_exponent)}")
+    size = (f"weights in trace: {len(ws.weights)}" if ws
+            else f"dim tau: {weyl_dimension(pair, lam0)}")
+    print(f"{size}  min exponent: {fmt(min_exponent)}")
     if report.empirical_classification == "not-run":
         print(report.note)
     else:
@@ -275,7 +276,7 @@ def cmd_integrate(args) -> int:
         print(f"fitted log-log slope: {fmt(report.fitted_slope)}")
         print(f"increment exponent estimate: {fmt(report.increment_exponent)}")
         print(f"empirical classification: {report.empirical_classification}")
-    print(f"classification: {report.classification}")
+    print(f"classification: {classification}")
     if scalar is not None:
         # any other note is the not-run reason, printed above
         print(f"formal dimension scalar: {fmt(scalar)}" + (f"  [{note}]" if rd.r == 1 else ""))

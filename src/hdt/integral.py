@@ -2,18 +2,18 @@
 
 The integrand is a sum over compact-part weights of products
 (1-x_j^2)^E_{s,j} times the restricted-root polynomial P(x), integrated over
-0 <= x_1 <= ... <= x_r <= 1-eps.  Convergence is decided analytically from
-the exponents (finite iff every E_{s,j} > -1) and corroborated numerically
-on an eps-ladder of truncations, whose exponent also guides the threshold
-search.  A convergent integral's value is not read off the ladder: it is
-Harish-Chandra's formal-degree product, in closed form.  Quadrature is
-tensorized Gauss-Legendre on panels graded geometrically toward the
-singular face, with the ordering handled by nested cumulative integration
-(exact on each panel for polynomial degree below the order).  The graded
-panels of every eps are a prefix of those of a smaller one, so a whole
-ladder is one sweep: the shared panels once, then one tail panel per eps.
-Only the quadrature functions import numpy, when first called, so importing
-this module (as every CLI command does) loads no numpy.
+0 <= x_1 <= ... <= x_r <= 1-eps.  It converges iff every E_{s,j} > -1, which
+by the weight bound is the criterion `hc_condition`; an eps-ladder of
+truncations, run while dim tau is within MAX_TRACE_DIM, corroborates it
+numerically, and its exponent guides the threshold search.  A convergent
+integral's value is Harish-Chandra's formal-degree product, in closed form.
+Quadrature is tensorized Gauss-Legendre on panels graded geometrically
+toward the singular face, with the ordering handled by nested cumulative
+integration (exact on each panel for polynomial degree below the order).
+The graded panels of every eps are a prefix of those of a smaller one, so a
+whole ladder is one sweep: the shared panels once, then one tail panel per
+eps.  Only the quadrature functions import numpy, when first called, so
+importing this module (as every CLI command does) loads no numpy.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ MAX_ORDER = 128
 # exponent's sign and first digits, not the values' last digits
 PROBE_ORDER = 20
 MAX_QUADRATURE_RANK = 4
+# the largest trace (dim tau_Lambda0, by the Weyl formula) whose weights are
+# enumerated for the eps ladder; the benchmark's largest is 4 096
+MAX_TRACE_DIM = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,6 @@ class IntegralSpec:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    classification: str  # analytic: convergent | divergent
-    min_exponent: float
     truncated_values: tuple[tuple[float, float], ...]  # (eps, estimate)
     fitted_slope: float  # log-estimate vs log(1/eps), least squares
     increment_exponent: float  # decade ratio of successive increments
@@ -250,13 +251,8 @@ def build_integrand(
     for mu in ws.weights:
         key = tuple(weight_on_coroot(rs, mu, g) for g in gammas)
         rows[key] = rows.get(key, 0) + (mults[mu] if mults else 1)
-    return IntegralSpec(
-        r=rd.r,
-        a=rd.a,
-        b=rd.b,
-        exponents=tuple(tuple(s - m for s, m in zip(shift, k)) for k in rows),
-        multiplicities=tuple(rows.values()),
-    )
+    exponents = tuple(tuple(s - m for s, m in zip(shift, k)) for k in rows)
+    return IntegralSpec(rd.r, rd.a, rd.b, exponents, tuple(rows.values()))
 
 
 # -- classification -----------------------------------------------------------
@@ -297,35 +293,43 @@ def _increment_exponent(values: list[float]) -> float:
     return -math.log10(ratios[-1])
 
 
+def not_run(reason: str) -> ConvergenceReport:
+    """The report of an eps ladder that did not run, and why."""
+    return ConvergenceReport((), math.nan, math.nan, "not-run",
+                             f"{reason}; analytic classification only")
+
+
+def trace_over_budget(pair: HermitianPair, lambda0: Weight) -> str | None:
+    """Why the weights of tau_lambda0 are not enumerated, or None: its Weyl
+    dimension, computed without them, is above MAX_TRACE_DIM."""
+    dim = weyl_dimension(pair, lambda0)
+    if dim > MAX_TRACE_DIM:
+        return f"dim tau {dim} above the trace budget ({MAX_TRACE_DIM})"
+    return None
+
+
 def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
                          order: int = DEFAULT_ORDER) -> ConvergenceReport:
-    """Analytic classification from the exponents, corroborated on an
-    eps-ladder of truncated integrals at the given Gauss order.
+    """The eps-ladder of truncated integrals at the given Gauss order, and
+    the empirical verdict read off it.
 
-    The classification is always the analytic verdict.  The empirical one
-    comes from the increment-ratio exponent alone (boundary-indeterminate
-    inside a small band, not guessed).  Above the rank cap, or when the
-    ladder overflows, cancels or falls, it is "not-run" and the note says why.
+    The verdict comes from the increment-ratio exponent alone
+    (boundary-indeterminate inside a small band, not guessed); whether the
+    integral converges is the criterion's, not this report's.  Above the rank
+    cap, or when the ladder overflows, cancels or falls, it is "not-run" and
+    the note says why.
     """
-    min_exp = float(min(min(row) for row in spec.exponents))
-    # finite iff every exponent exceeds -1
-    analytic = "convergent" if all(e > -1 for row in spec.exponents for e in row) else "divergent"
-
-    def analytic_only(reason: str) -> ConvergenceReport:
-        return ConvergenceReport(analytic, min_exp, (), float("nan"), float("nan"),
-                                 "not-run", f"{reason}; analytic classification only")
-
     if spec.r > MAX_QUADRATURE_RANK:
-        return analytic_only(f"rank above quadrature cap ({MAX_QUADRATURE_RANK})")
+        return not_run(f"rank above quadrature cap ({MAX_QUADRATURE_RANK})")
     ladder = tuple(sorted(eps_ladder, reverse=True))
     try:
         values = _truncations(spec, ladder, order)
     except IntegralOverflowError as exc:
-        return analytic_only(str(exc))
+        return not_run(str(exc))
     positive = all(v > 0 for v in values)
     if not positive or any(a - b > _MAX_FALL * a for a, b in zip(values, values[1:])):
         # cancellation in the monomial sum has eaten the significant digits
-        return analytic_only(
+        return not_run(
             f"quadrature lost precision: truncated values "
             f"{', '.join(f'{v:.3g}' for v in values)} "
             + ("are not all finite and positive" if not positive else "fall as eps shrinks")
@@ -345,9 +349,7 @@ def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEF
         empirical = "divergent"
     else:
         empirical = "boundary-indeterminate"
-    return ConvergenceReport(
-        analytic, min_exp, tuple(zip(ladder, values)), fitted, delta_hat, empirical, None,
-    )
+    return ConvergenceReport(tuple(zip(ladder, values)), fitted, delta_hat, empirical, None)
 
 
 # the documented floor of the --eps range; no sweep runs below the ladder
@@ -384,7 +386,7 @@ def empirical_threshold(
 ) -> float:
     """Recover the critical lambda from the empirical verdict only.
 
-    The analytic exponent test is deliberately not consulted; each probe
+    The criterion is deliberately not consulted; each probe
     builds the unit-weight spec and reads the increment exponent d of its
     DEFAULT_LADDER at PROBE_ORDER, convergent when d > 0.  The bracket starts
     at lambda = -2 and doubles downward (or, if -2 converges, steps up
@@ -401,10 +403,12 @@ def empirical_threshold(
     Raises ValueError unless tol is finite and positive, or when the bracket
     reaches the spacing of doubles before it is tol wide, and ConfigurationError
     if no bracket is found in 8 steps or if a probe's ladder did not run
-    (rank cap, overflow, lost precision).
+    (trace budget, rank cap, overflow, lost precision).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if over := trace_over_budget(pair, lambda0):
+        raise ConfigurationError(f"eps ladder not run: {over}")
     ws = weight_system(pair, lambda0)
 
     def increment_exponent(lam: float) -> float:

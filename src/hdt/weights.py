@@ -6,8 +6,8 @@ integer dot product against the coroot table of `rootsystem`.  Weights of
 compact-part irreducibles are generated by string saturation from the
 highest weight.  Multiplicities come from one Freudenthal recursion per
 weight system, whose memo every weight shares (`weight_multiplicities`);
-they weight the trace in the formal-dimension report and never change a
-convergence verdict.
+they weight the trace of the eps ladder and never change a convergence
+verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .cascade import root_sum, strongly_orthogonal_cascade
 from .hermitian import HermitianPair, compact_nodes, partition_roots
@@ -131,7 +131,8 @@ def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
     sum_i n_i x_i 2(alpha_i|alpha_i), and 4 (w|alpha) = w(alpha^vee) 2(alpha|alpha).
     One memo serves every weight: a breadth-first walk down simple roots
     from the (multiplicity-one) highest weight reaches each weight after all
-    weights above it, carrying n along.  Cached per weight system.
+    weights above it, carrying n along.  Strings are unbroken and nu + alpha
+    comes first, so each string's sum runs along it.  Cached per weight system.
     """
     rs = ws.pair.root_system
     lam = ws.highest
@@ -142,6 +143,9 @@ def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
     alphas = [(rs.weight_coords(a), rs.coroot(a), rs.inner2(a, a)) for a in compact_pos]
     diag = [rs.sym[i][i] for i in range(rs.rank)]
     memo: dict[Weight, int] = {lam: 1}
+    # weight nu -> per compact positive root alpha, the alpha-string sum
+    # T(nu) = sum_(k >= 0) m(nu + k alpha) (nu + k alpha)(alpha^vee)
+    strings = {lam: [sum(map(mul, lam, coroot)) for _, coroot, _ in alphas]}
     frontier = [(lam, (0,) * rs.rank)]
     while frontier:
         nxt = []
@@ -151,12 +155,10 @@ def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
                 if nu not in wset or nu in memo:
                     continue
                 n_nu = tuple(nj + (j == i) for j, nj in enumerate(n))
-                rhs = 0
-                for aw, coroot, nsq2 in alphas:
-                    above = tuple(m + c for m, c in zip(nu, aw))
-                    while above in wset:
-                        rhs += memo[above] * sum(map(mul, above, coroot)) * nsq2
-                        above = tuple(m + c for m, c in zip(above, aw))
+                # T(nu + alpha), zero where the string ends
+                tail = [strings[up][k] if (up := tuple(map(add, nu, aw))) in strings else 0
+                        for k, (aw, _, _) in enumerate(alphas)]
+                rhs = sum(t * nsq2 for t, (_, _, nsq2) in zip(tail, alphas))
                 x = (a + b + c for a, b, c in zip(lam, nu, two_rho_c))
                 denom = sum(ni * xi * di for ni, xi, di in zip(n_nu, x, diag))
                 if denom == 0:
@@ -165,6 +167,7 @@ def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
                 if rem or val <= 0:
                     raise StructuralError(f"non-positive-integer multiplicity {Fraction(2 * rhs, denom)}")
                 memo[nu] = val
+                strings[nu] = [val * sum(map(mul, nu, c)) + t for (_, c, _), t in zip(alphas, tail)]
                 nxt.append((nu, n_nu))
         frontier = nxt
     if len(memo) != len(wset):

@@ -284,6 +284,40 @@ def test_integrate_json_without_ladder_is_strict_json():
         assert data["fitted_slope"] is None and data["increment_exponent"] is None
 
 
+@pytest.mark.parametrize("lam,verdict", [("-1000010", "convergent"), ("-10", "divergent")])
+def test_integrate_above_the_trace_budget_enumerates_nothing(monkeypatch, capsys, lam, verdict):
+    # dim tau = 1 000 001: the verdict, the smallest exponent and the value
+    # come from the criterion and the closed form, and the ladder is not run
+    import hdt.cli
+    import hdt.integral
+    from hdt.integral import MAX_TRACE_DIM, closed_form_integral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights enumerated")
+
+    monkeypatch.setattr(hdt.cli, "weight_system", refuse)
+    monkeypatch.setattr(hdt.integral, "weight_multiplicities", refuse)
+    argv = ["integrate", "su22", "--lambda", lam, "--lambda0", "1000000,0"]
+    assert hdt.cli.main([*argv, "--output", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    note = (f"dim tau 1000001 above the trace budget ({MAX_TRACE_DIM}); "
+            "analytic classification only")
+    assert data["classification"] == verdict
+    assert data["empirical"] == "not-run" and data["ladder"] == []
+    assert data["min_exponent"] == -1000003 - int(lam) - 1
+    assert data["scalar_note"] == note
+    if verdict == "convergent":
+        pr = hdt.cli.pair_by_label("su22")
+        lam0 = hdt.cli.extend_compact_coords(pr, [1000000, 0])
+        assert data["formal_dimension_scalar"] == closed_form_integral(pr, lam0, int(lam))
+    else:
+        assert data["formal_dimension_scalar"] is None
+    assert hdt.cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "dim tau: 1000001  min exponent:" in out and "weights in trace" not in out
+    assert note in out and f"classification: {verdict}" in out
+
+
 def test_integrate_e7vii_rank_three():
     # threshold is -17, so -20 converges; rank 3 is inside the quadrature cap
     res = run_cli("integrate", "e7vii", "--lambda", "-20", "--output", "json")

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from hdt.cascade import restricted_root_data
-from hdt.criterion import hc_threshold
+from hdt.criterion import HighestWeightInput, hc_condition, hc_threshold
 from hdt.hermitian import catalog, pair_by_label
 from hdt.integral import (
     DEFAULT_LADDER,
     DEFAULT_ORDER,
     MAX_QUADRATURE_RANK,
+    MAX_TRACE_DIM,
     PROBE_ORDER,
     ConfigurationError,
     ConvergenceReport,
@@ -100,18 +101,34 @@ def test_scalar_case_exponents_uniform():
         assert all(e == expected for row in spec.exponents for e in row)
 
 
+def _exists(pr, lam0, lam) -> bool:
+    return hc_condition(HighestWeightInput(pr, lam0, lam)).exists
+
+
 def test_classification_matches_criterion():
+    # the exponent rule (finite iff every E > -1) is the criterion, and the
+    # smallest exponent is lambda_c - lambda - 1 exactly: the weight bound
+    # with equality at the highest weight, which `integrate` relies on
+    cases = 0
+    for pr in catalog():
+        for lam0 in dict.fromkeys((_zero(pr), *compact_fundamental_weights(pr)[:1])):
+            ws = weight_system(pr, lam0)
+            thr = hc_threshold(pr, lam0)
+            for off in (-1, Fraction(-1, 4), 0, Fraction(1, 4), 1):
+                spec = build_integrand(pr, ws, thr + off)
+                finite = all(e > -1 for row in spec.exponents for e in row)
+                assert finite == _exists(pr, lam0, thr + off), (pr.label, lam0, off)
+                min_e = min(min(row) for row in spec.exponents)
+                assert type(min_e) is Fraction and min_e == -off - 1, (pr.label, lam0, off)
+                cases += 1
+    assert cases == 395
+    # empirical corroboration away from the boundary
     for label in ("su11", "sp2", "su22"):
         pr = pair_by_label(label)
-        lam0 = _zero(pr)
-        ws = weight_system(pr, lam0)
-        thr = hc_threshold(pr, lam0)
+        ws = weight_system(pr, _zero(pr))
+        thr = hc_threshold(pr, _zero(pr))
         below = classify_convergence(build_integrand(pr, ws, thr - 1))
         above = classify_convergence(build_integrand(pr, ws, thr + 1))
-        assert below.classification == "convergent"
-        assert below.min_exponent == pytest.approx(0.0)
-        assert above.classification == "divergent"
-        # empirical corroboration away from the boundary
         assert below.empirical_classification == "convergent"
         assert above.empirical_classification == "divergent"
         assert above.fitted_slope > 0.5
@@ -120,22 +137,30 @@ def test_classification_matches_criterion():
 def test_boundary_flagged_indeterminate():
     pr = pair_by_label("su11")
     ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(build_integrand(pr, ws, -1))
+    spec = build_integrand(pr, ws, -1)
+    rep = classify_convergence(spec)
     assert rep.empirical_classification == "boundary-indeterminate"
-    # the analytic verdict is divergent at the exact boundary (strict inequality)
-    assert rep.classification == "divergent"
+    # at the exact boundary E = -1, and the verdict is divergent (strict inequality)
+    assert spec.exponents == ((-1,),)
+    assert not _exists(pr, _zero(pr), -1)
 
 
 def test_multiplicity_irrelevance():
-    # positive integer multiplicities cannot change finiteness
+    # positive integer multiplicities cannot change finiteness: the weighted
+    # trace has the same exponent rows, and the ladders read the same verdict
     pr = pair_by_label("su13")
     lam0 = extend_compact_coords(pr, [1, 1])  # adjoint: has a multiplicity-2 weight
     ws = weight_system(pr, lam0)
     thr = hc_threshold(pr, lam0)
     for lam in (thr - 1, thr + 1):
-        plain = classify_convergence(build_integrand(pr, ws, lam))
-        weighted = classify_convergence(build_integrand(pr, ws, lam, with_multiplicities=True))
-        assert plain.classification == weighted.classification
+        plain = build_integrand(pr, ws, lam)
+        weighted = build_integrand(pr, ws, lam, with_multiplicities=True)
+        assert weighted.exponents == plain.exponents
+        assert sum(weighted.multiplicities) == 8 > sum(plain.multiplicities) == 7
+        assert all(w >= u >= 1 for w, u in zip(weighted.multiplicities, plain.multiplicities))
+        assert (classify_convergence(plain).empirical_classification
+                == classify_convergence(weighted).empirical_classification
+                == ("convergent" if _exists(pr, lam0, lam) else "divergent"))
 
 
 @pytest.mark.parametrize("label,lam0,rows,dim", [
@@ -345,11 +370,11 @@ def test_overflow_signalled():
 
 
 def test_lost_precision_falls_back_to_analytic():
-    # the same cancelling ladder: the exponents still decide the verdict
+    # the same cancelling ladder: the criterion still decides the verdict
     pr = pair_by_label("su33")
     ws = weight_system(pr, _zero(pr))
     rep = classify_convergence(build_integrand(pr, ws, 0), DEFAULT_LADDER, PROBE_ORDER)
-    assert rep.classification == "divergent"
+    assert not _exists(pr, _zero(pr), 0)
     assert rep.empirical_classification == "not-run"
     assert rep.truncated_values == ()
     assert "lost precision" in rep.note
@@ -362,7 +387,8 @@ def test_falling_ladder_is_lost_precision():
     pr = pair_by_label("e7vii")
     spec = build_integrand(pr, weight_system(pr, _zero(pr)), Fraction(-33, 2))
     rep = classify_convergence(spec, DEFAULT_LADDER, PROBE_ORDER)
-    assert rep.classification == "divergent"
+    assert min(min(row) for row in spec.exponents) == Fraction(-3, 2)
+    assert not _exists(pr, _zero(pr), Fraction(-33, 2))
     assert rep.empirical_classification == "not-run"
     assert "lost precision" in rep.note and "fall as eps shrinks" in rep.note
 
@@ -454,7 +480,7 @@ def test_rank_four_quadrature():
     pr = pair_by_label("su44")
     ws = weight_system(pr, extend_compact_coords(pr, [0] * 6))
     rep = classify_convergence(build_integrand(pr, ws, -7.5))
-    assert rep.classification == "convergent"
+    assert rep.empirical_classification == "convergent"
     # the increment exponent estimates the distance to the threshold (-7)
     assert rep.increment_exponent == pytest.approx(0.5, abs=0.02)
 
@@ -463,7 +489,7 @@ def test_rank_cap_analytic_only():
     pr = pair_by_label("sp5")  # r = 5 > quadrature cap
     ws = weight_system(pr, _zero(pr))
     rep = classify_convergence(build_integrand(pr, ws, -20))
-    assert rep.classification == "convergent"
+    assert _exists(pr, _zero(pr), -20)
     assert rep.truncated_values == ()
     assert rep.empirical_classification == "not-run"
     assert rep.note == (f"rank above quadrature cap ({MAX_QUADRATURE_RANK}); "
@@ -486,6 +512,20 @@ def test_rank_cap_stops_the_bisection_at_its_first_probe(monkeypatch):
     with pytest.raises(ConfigurationError, match="quadrature cap"):
         empirical_threshold(pr, _zero(pr))
     assert len(probes) == 1
+
+
+def test_threshold_above_the_trace_budget_is_refused(monkeypatch):
+    # the budget is checked on the Weyl dimension, before any weight is built
+    import hdt.integral as integral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights enumerated")
+
+    monkeypatch.setattr(integral, "weight_system", refuse)
+    pr = pair_by_label("su22")
+    over = rf"dim tau 10001 above the trace budget \({MAX_TRACE_DIM}\)"
+    with pytest.raises(ConfigurationError, match=over):
+        empirical_threshold(pr, extend_compact_coords(pr, [10000, 0]))
 
 
 def _counting_probes(monkeypatch, report=None):
@@ -567,8 +607,7 @@ def test_threshold_search_ends_with_a_misread_distance(monkeypatch, misread, cha
     def report(spec):
         min_e = float(min(min(row) for row in spec.exponents))
         d = misread(min_e + 3.0 + change)
-        verdict = "convergent" if d > 0.0 else "divergent"
-        return ConvergenceReport(verdict, min_e, (), math.nan, d, verdict, None)
+        return ConvergenceReport((), math.nan, d, "convergent" if d > 0.0 else "divergent", None)
 
     probes = _counting_probes(monkeypatch, report)
     pr = pair_by_label("sp2")

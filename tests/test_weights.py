@@ -118,17 +118,18 @@ def test_weight_system_su22_fundamental():
 
 def test_weight_system_walks_each_string_about_once():
     # a walk from every weight of a string is quadratic in its length:
-    # about 100 s for these 20 001 weights
+    # about 100 s for these 20 001 weights, and minutes for their multiplicities
     code = (
         "from hdt.hermitian import pair_by_label\n"
-        "from hdt.weights import extend_compact_coords, weight_system\n"
+        "from hdt.weights import extend_compact_coords, weight_multiplicities, weight_system\n"
         "pr = pair_by_label('su22')\n"
-        "print(len(weight_system(pr, extend_compact_coords(pr, [20000, 0])).weights))\n"
+        "ws = weight_system(pr, extend_compact_coords(pr, [20000, 0]))\n"
+        "print(len(ws.weights), sum(weight_multiplicities(ws).values()))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=20)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "20001\n"
+    assert res.stdout == "20001 20001\n"
 
 
 def test_weight_system_rejects_bad_input():
