@@ -21,7 +21,7 @@ from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_r
 from .criterion import HighestWeightInput, hc_condition, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
 from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_ORDER, MIN_EPS, build_integrand,
-                       classify_convergence, closed_form_integral, not_run, trace_over_budget)
+                       classify_convergence, closed_form_integral, ladder_precheck, not_run)
 from .suite import run_suite
 from .weights import extend_compact_coords, weight_system, weyl_dimension
 
@@ -228,22 +228,21 @@ def cmd_integrate(args) -> int:
         raise UsageError(f"order must be in [1, {MAX_ORDER}]")
     rd = restricted_root_data(pair)
     # the verdict and the smallest exponent -lambda - p - Lambda0(h_r) are the
-    # criterion's; the weights only run the eps ladder, within the budget
+    # criterion's; the weights only run the eps ladder, if `ladder_precheck` allows
     verdict = hc_condition(HighestWeightInput(pair, lam0, lam))
     classification = "convergent" if verdict.exists else "divergent"
     min_exponent = float(verdict.threshold - lam - 1)
-    if over := trace_over_budget(pair, lam0):
-        ws, report = None, not_run(over)
+    scalar = closed_form_integral(pair, lam0, lam) if verdict.exists else None
+    if reason := ladder_precheck(pair, lam0):
+        ws, report = None, not_run(reason)
     else:
         ws = weight_system(pair, lam0)
         spec = build_integrand(pair, ws, lam, with_multiplicities=True)
-        report = classify_convergence(spec, ladder, args.order)
-    scalar, note = None, report.note
-    if verdict.exists:
-        scalar = closed_form_integral(pair, lam0, lam)
-        if rd.r == 1:
-            scalar *= (-float(lam) - 1.0) / math.pi
-            note = "disc normalization (k-1)/pi applied, k = -lambda"
+        report = classify_convergence(spec, ladder, args.order, full=scalar)
+    note = report.note
+    if scalar is not None and rd.r == 1:
+        scalar *= (-float(lam) - 1.0) / math.pi
+        note = "disc normalization (k-1)/pi applied, k = -lambda"
 
     if args.output == "json":
         data = {

@@ -5,6 +5,12 @@ threshold) and the original all-noncompact-roots form are computed
 independently and asserted to agree; the reduction trace exhibits the
 elementary expansion behind that equivalence as a machine-checked
 certificate.
+
+Pairings are integers from one table per pair: each noncompact positive
+gamma's coroot, rho(h_gamma), Lambda_1(h_gamma) and 2 (gamma|gamma).  With
+lambda = n/d, d (Lambda + rho)(h_gamma) is an integer, and a `Fraction` is
+built only for a returned value.  The reduction trace's lambda-free part is
+checked and cached once per (pair, Lambda_0).
 """
 
 from __future__ import annotations
@@ -12,18 +18,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
+from typing import NamedTuple
 
 from .cascade import restricted_root_data, strongly_orthogonal_cascade
 from .hermitian import HermitianPair, partition_roots
 from .rootsystem import Root, StructuralError
-from .weights import (
-    Weight,
-    _add,
-    _validate_lambda0,
-    lambda_one,
-    rho_weight,
-    weight_on_coroot,
-)
+from .weights import Weight, _validate_lambda0, lambda_one, rho_weight, weight_on_coroot
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
 
@@ -80,20 +82,33 @@ class OriginalFormResult:
     values: tuple[Fraction, ...]  # (Lambda + rho)(h_gamma) per noncompact root
 
 
-def hc_condition_original(inp: HighestWeightInput) -> OriginalFormResult:
-    """(Lambda + rho)(h_gamma) < 0 for every noncompact positive gamma."""
-    pair = inp.pair
+class _Row(NamedTuple):
+    gamma: Root  # a noncompact positive root
+    coroot: Root
+    rho: int  # rho(h_gamma)
+    lam1: int  # Lambda_1(h_gamma)
+    norm2: int  # 2 (gamma|gamma)
+
+
+@lru_cache(maxsize=None)
+def _noncompact_table(pair: HermitianPair) -> tuple[_Row, ...]:
+    """The integer pairings of each noncompact positive root, in order."""
     rs = pair.root_system
-    lam1 = lambda_one(pair)
-    base = _add(inp.lambda0, rho_weight(pair))
-    vals = []
-    witnesses = []
-    for gamma in partition_roots(pair).noncompact_pos:
-        v = weight_on_coroot(rs, base, gamma) + inp.lam * weight_on_coroot(rs, lam1, gamma)
-        vals.append(v)
-        if v >= 0:
-            witnesses.append(gamma)
-    return OriginalFormResult(not witnesses, tuple(witnesses), tuple(vals))
+    rho, lam1 = rho_weight(pair), lambda_one(pair)
+    return tuple(_Row(g, rs.coroot(g), weight_on_coroot(rs, rho, g),
+                      weight_on_coroot(rs, lam1, g), rs.inner2(g, g))
+                 for g in partition_roots(pair).noncompact_pos)
+
+
+def hc_condition_original(inp: HighestWeightInput) -> OriginalFormResult:
+    """(Lambda + rho)(h_gamma) < 0 for every noncompact positive gamma, read
+    for lambda = n/d off the integer d (Lambda_0 + rho)(h_gamma) + n Lambda_1(h_gamma)."""
+    n, d = inp.lam.numerator, inp.lam.denominator
+    table = _noncompact_table(inp.pair)
+    nums = [d * (sum(map(mul, inp.lambda0, row.coroot)) + row.rho) + n * row.lam1
+            for row in table]
+    witnesses = tuple(row.gamma for row, v in zip(table, nums) if v >= 0)
+    return OriginalFormResult(not witnesses, witnesses, tuple(Fraction(v, d) for v in nums))
 
 
 def hc_threshold(pair: HermitianPair, lambda0: Weight) -> Fraction:
@@ -136,6 +151,35 @@ class TraceEntry:
     slack: Fraction  # pairing_top - pairing = sum m_j (Lambda_0 + rho | alpha_j) >= 0
 
 
+@lru_cache(maxsize=256)  # `verify exact` uses 79 (pair, Lambda_0)
+def _trace_certificate(pair: HermitianPair, lambda0: Weight):
+    """The checked lambda-free part of `reduction_trace`: 4 (Lambda_0 + rho |
+    gamma_r), 4 (Lambda_1 | gamma_r) and per gamma (gamma, m, s, s/4), where
+    s = 4 (Lambda_0 + rho | gamma_r - gamma) and 4 (w|gamma) = w(h_gamma) 2 (gamma|gamma).
+    """
+    gamma_r = strongly_orthogonal_cascade(pair).gammas[-1]
+    table = _noncompact_table(pair)
+    top = next(row for row in table if row.gamma == gamma_r)
+
+    def four_pairing(row: _Row) -> int:
+        return (sum(map(mul, lambda0, row.coroot)) + row.rho) * row.norm2
+
+    top4 = four_pairing(top)
+    entries = []
+    for row in table:
+        gamma = row.gamma
+        m = tuple(a - b for a, b in zip(gamma_r, gamma))
+        if m[pair.node] != 0 or any(c < 0 for c in m):
+            raise StructuralError(f"{pair.name}: no non-negative compact expansion for {gamma}")
+        if row.lam1 * row.norm2 != top.lam1 * top.norm2:
+            raise StructuralError(f"{pair.name}: (Lambda_1|gamma) differs from gamma_r at {gamma}")
+        slack4 = top4 - four_pairing(row)
+        if slack4 < 0:
+            raise StructuralError(f"{pair.name}: monotonicity fails at {gamma}")
+        entries.append((gamma, m, slack4, Fraction(slack4, 4)))
+    return top4, top.lam1 * top.norm2, tuple(entries)
+
+
 def reduction_trace(inp: HighestWeightInput) -> tuple[TraceEntry, ...]:
     """Certificate that the original form reduces to the single inequality.
 
@@ -143,30 +187,14 @@ def reduction_trace(inp: HighestWeightInput) -> tuple[TraceEntry, ...]:
     integer combination of compact simple roots, so (Lambda + rho | gamma)
     <= (Lambda + rho | gamma_r) with slack independent of lambda; strict
     negativity of all the coroot values is then equivalent to strict
-    negativity at gamma_r alone.
+    negativity at gamma_r alone.  The slack is lambda-free because
+    (Lambda_1|gamma) = (Lambda_1|gamma_r) for every noncompact gamma; that
+    identity, the expansions and the integer slacks are checked and cached
+    per (pair, Lambda_0), and each call adds only the pairing at gamma_r.
     """
-    pair = inp.pair
-    rs = pair.root_system
-    gamma_r = strongly_orthogonal_cascade(pair).gammas[-1]
-    lam1 = lambda_one(pair)
-    base = _add(inp.lambda0, rho_weight(pair))
-
-    def full_pairing(v) -> Fraction:
-        # (w|v) = w(h_v) (v|v) / 2
-        on_coroot = weight_on_coroot(rs, base, v) + inp.lam * weight_on_coroot(rs, lam1, v)
-        return on_coroot * rs.norm_sq(v) / 2
-
-    top = full_pairing(gamma_r)
-    entries = []
-    for gamma in partition_roots(pair).noncompact_pos:
-        m = tuple(a - b for a, b in zip(gamma_r, gamma))
-        if m[pair.node] != 0 or any(c < 0 for c in m):
-            raise StructuralError(
-                f"{pair.name}: no non-negative compact expansion for {gamma}"
-            )
-        val = full_pairing(gamma)
-        slack = top - val
-        if slack < 0:
-            raise StructuralError(f"{pair.name}: monotonicity fails at {gamma}")
-        entries.append(TraceEntry(gamma, m, val, top, slack))
-    return tuple(entries)
+    top4, lam1_4, entries = _trace_certificate(inp.pair, inp.lambda0)
+    n, d = inp.lam.numerator, inp.lam.denominator
+    top4d = d * top4 + n * lam1_4
+    top = Fraction(top4d, 4 * d)
+    return tuple(TraceEntry(gamma, m, Fraction(top4d - d * slack4, 4 * d), top, slack)
+                 for gamma, m, slack4, slack in entries)

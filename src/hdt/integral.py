@@ -4,9 +4,10 @@ The integrand is a sum over compact-part weights of products
 (1-x_j^2)^E_{s,j} times the restricted-root polynomial P(x), integrated over
 0 <= x_1 <= ... <= x_r <= 1-eps.  It converges iff every E_{s,j} > -1, which
 by the weight bound is the criterion `hc_condition`; an eps-ladder of
-truncations, run while dim tau is within MAX_TRACE_DIM, corroborates it
-numerically, and its exponent guides the threshold search.  A convergent
-integral's value is Harish-Chandra's formal-degree product, in closed form.
+truncations, run while dim tau is within MAX_TRACE_DIM and the rank within
+MAX_QUADRATURE_RANK, corroborates it numerically, and its exponent guides
+the threshold search.  A convergent integral's value is Harish-Chandra's
+formal-degree product, in closed form.
 Quadrature is tensorized Gauss-Legendre on panels graded geometrically
 toward the singular face, with the ordering handled by nested cumulative
 integration (exact on each panel for polynomial degree below the order).
@@ -58,6 +59,7 @@ MAX_ORDER = 128
 # exponent's sign and first digits, not the values' last digits
 PROBE_ORDER = 20
 MAX_QUADRATURE_RANK = 4
+_RANK_CAP = f"rank above quadrature cap ({MAX_QUADRATURE_RANK})"
 # the largest trace (dim tau_Lambda0, by the Weyl formula) whose weights are
 # enumerated for the eps ladder; the benchmark's largest is 4 096
 MAX_TRACE_DIM = 10_000
@@ -299,40 +301,47 @@ def not_run(reason: str) -> ConvergenceReport:
                              f"{reason}; analytic classification only")
 
 
-def trace_over_budget(pair: HermitianPair, lambda0: Weight) -> str | None:
-    """Why the weights of tau_lambda0 are not enumerated, or None: its Weyl
-    dimension, computed without them, is above MAX_TRACE_DIM."""
+def ladder_precheck(pair: HermitianPair, lambda0: Weight) -> str | None:
+    """Why the eps ladder of tau_lambda0 will not run (trace budget, then rank
+    cap), or None; decided before any weight is enumerated."""
     dim = weyl_dimension(pair, lambda0)
     if dim > MAX_TRACE_DIM:
         return f"dim tau {dim} above the trace budget ({MAX_TRACE_DIM})"
+    if restricted_root_data(pair).r > MAX_QUADRATURE_RANK:
+        return _RANK_CAP
     return None
 
 
 def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
-                         order: int = DEFAULT_ORDER) -> ConvergenceReport:
+                         order: int = DEFAULT_ORDER,
+                         full: float | None = None) -> ConvergenceReport:
     """The eps-ladder of truncated integrals at the given Gauss order, and
     the empirical verdict read off it.
 
     The verdict comes from the increment-ratio exponent alone
     (boundary-indeterminate inside a small band, not guessed); whether the
     integral converges is the criterion's, not this report's.  Above the rank
-    cap, or when the ladder overflows, cancels or falls, it is "not-run" and
-    the note says why.
+    cap, or when the ladder overflows, cancels, falls or rises above `full`
+    (the full integral, when known), it is "not-run" and the note says why.
     """
     if spec.r > MAX_QUADRATURE_RANK:
-        return not_run(f"rank above quadrature cap ({MAX_QUADRATURE_RANK})")
+        return not_run(_RANK_CAP)
     ladder = tuple(sorted(eps_ladder, reverse=True))
     try:
         values = _truncations(spec, ladder, order)
     except IntegralOverflowError as exc:
         return not_run(str(exc))
     positive = all(v > 0 for v in values)
-    if not positive or any(a - b > _MAX_FALL * a for a, b in zip(values, values[1:])):
+    falls = any(a - b > _MAX_FALL * a for a, b in zip(values, values[1:]))
+    # no truncation of a positive integrand exceeds the full integral
+    above = full is not None and any(v - full > _MAX_FALL * full for v in values)
+    if not positive or falls or above:
         # cancellation in the monomial sum has eaten the significant digits
         return not_run(
             f"quadrature lost precision: truncated values "
             f"{', '.join(f'{v:.3g}' for v in values)} "
-            + ("are not all finite and positive" if not positive else "fall as eps shrinks")
+            + ("are not all finite and positive" if not positive
+               else "fall as eps shrinks" if falls else f"exceed the full integral {full:.3g}")
         )
 
     logs = [math.log(v) for v in values]
@@ -402,13 +411,13 @@ def empirical_threshold(
 
     Raises ValueError unless tol is finite and positive, or when the bracket
     reaches the spacing of doubles before it is tol wide, and ConfigurationError
-    if no bracket is found in 8 steps or if a probe's ladder did not run
-    (trace budget, rank cap, overflow, lost precision).
+    before any probe when `ladder_precheck` refuses, if no bracket is found in
+    8 steps, or if a probe's ladder did not run (overflow, lost precision).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if over := trace_over_budget(pair, lambda0):
-        raise ConfigurationError(f"eps ladder not run: {over}")
+    if reason := ladder_precheck(pair, lambda0):
+        raise ConfigurationError(f"eps ladder not run: {reason}")
     ws = weight_system(pair, lambda0)
 
     def increment_exponent(lam: float) -> float:

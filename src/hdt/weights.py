@@ -183,10 +183,6 @@ def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:
     return m
 
 
-def _add(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def weyl_dimension(pair: HermitianPair, lambda0: Weight) -> Fraction:
     # dim tau_lambda0 = prod (lam + rho_c | alpha) / (rho_c | alpha) over the
     # compact positive roots, each ratio read on alpha^vee; no weight is built

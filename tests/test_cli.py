@@ -318,6 +318,28 @@ def test_integrate_above_the_trace_budget_enumerates_nothing(monkeypatch, capsys
     assert note in out and f"classification: {verdict}" in out
 
 
+def test_integrate_above_the_rank_cap_enumerates_nothing(monkeypatch, capsys):
+    # sp5 has r = 5: the rank cap is checked before the weights, as the budget is
+    import hdt.cli
+    import hdt.integral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights enumerated")
+
+    monkeypatch.setattr(hdt.cli, "weight_system", refuse)
+    monkeypatch.setattr(hdt.integral, "weight_multiplicities", refuse)
+    argv = ["integrate", "sp5", "--lambda", "-20", "--lambda0", "1,0,0,0"]
+    note = "rank above quadrature cap (4); analytic classification only"
+    assert hdt.cli.main([*argv, "--output", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["classification"] == "convergent" and data["empirical"] == "not-run"
+    assert data["scalar_note"] == note and data["formal_dimension_scalar"] > 0
+    assert hdt.cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "dim tau: 5  min exponent:" in out and "weights in trace" not in out
+    assert note in out
+
+
 def test_integrate_e7vii_rank_three():
     # threshold is -17, so -20 converges; rank 3 is inside the quadrature cap
     res = run_cli("integrate", "e7vii", "--lambda", "-20", "--output", "json")

@@ -237,6 +237,22 @@ def test_integrate_reports_the_closed_form_far_below_the_threshold(capsys):
     assert data["formal_dimension_scalar"] == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
 
+def test_a_rung_above_the_full_integral_is_lost_precision(capsys):
+    # the su11 rungs at lambda = -10^6 all read 8.73e-7, above the full
+    # integral 1/(2 (10^6 - 1)), which no truncation of a positive integrand
+    # can exceed
+    from hdt.cli import main
+
+    assert main(["integrate", "su11", "--lambda", "-1000000", "--output", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["empirical"] == "not-run" and data["ladder"] == []
+    assert data["increment_exponent"] is None and data["classification"] == "convergent"
+    assert main(["integrate", "su11", "--lambda", "-1000000"]) == 0
+    out = capsys.readouterr().out
+    assert ("quadrature lost precision: truncated values 8.73e-07, 8.73e-07, 8.73e-07, "
+            "8.73e-07 exceed the full integral 5e-07; analytic classification only") in out
+
+
 def _cube_integral_oracle(exponents, a, b, eps, order=24):
     """Full-cube tensor quadrature of the symmetrized integrand divided by r!.
 
@@ -496,22 +512,19 @@ def test_rank_cap_analytic_only():
                         "analytic classification only")
 
 
-def test_rank_cap_stops_the_bisection_at_its_first_probe(monkeypatch):
-    # the ladder never runs above the cap, so no probe can bracket the threshold
+def test_rank_cap_stops_the_bisection_before_any_probe(monkeypatch):
+    # the ladder never runs above the cap, so no weight is built and no probe runs
     import hdt.integral as integral
 
-    probes = []
-    classify = integral.classify_convergence
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights enumerated or a probe run")
 
-    def counted(spec, eps_ladder, order):
-        probes.append(spec)
-        return classify(spec, eps_ladder, order)
-
-    monkeypatch.setattr(integral, "classify_convergence", counted)
+    monkeypatch.setattr(integral, "weight_system", refuse)
+    monkeypatch.setattr(integral, "classify_convergence", refuse)
     pr = pair_by_label("sp5")
-    with pytest.raises(ConfigurationError, match="quadrature cap"):
+    refusal = rf"^eps ladder not run: rank above quadrature cap \({MAX_QUADRATURE_RANK}\)$"
+    with pytest.raises(ConfigurationError, match=refusal):
         empirical_threshold(pr, _zero(pr))
-    assert len(probes) == 1
 
 
 def test_threshold_above_the_trace_budget_is_refused(monkeypatch):
