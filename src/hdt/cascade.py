@@ -9,7 +9,6 @@ whose multiplicities (a, b) determine the genus p = (r-1)a + b + 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .hermitian import HermitianPair, partition_roots
@@ -69,8 +68,7 @@ def strongly_orthogonal_cascade(pair: HermitianPair) -> CascadeResult:
         ]
 
     gammas = tuple(reversed(chosen))
-    nsq = {rs.norm_sq(g) for g in gammas}
-    if len(nsq) != 1:
+    if len({rs.inner2(g, g) for g in gammas}) != 1:
         raise StructuralError(f"{pair.name}: cascade roots of unequal length")
     for i, gi in enumerate(gammas):
         for gj in gammas[i + 1 :]:
@@ -188,7 +186,7 @@ def restricted_root_data(pair: HermitianPair) -> RestrictedData:
 class RhoReport:
     pair_label: str
     p: int
-    rho_on_h_r: Fraction  # must equal p - 1
+    rho_on_h_r: int  # must equal p - 1
     two_rho_n_on_h: tuple[int, ...]  # must equal p for every j
 
 
@@ -207,12 +205,13 @@ def verify_rho_identities(pair: HermitianPair) -> RhoReport:
     cr = strongly_orthogonal_cascade(pair)
     rd = restricted_root_data(pair)
 
-    rho_hr = Fraction(rs.coroot_pairing(root_sum(rs, rs.positive_roots), cr.gammas[-1]), 2)
-    if rho_hr != rd.p - 1:
-        raise StructuralError(f"{pair.name}: rho(h_r) = {rho_hr} != p - 1 = {rd.p - 1}")
+    # 2 rho is the sum of the positive roots: an odd value fails the test too
+    two_rho_hr = rs.coroot_pairing(root_sum(rs, rs.positive_roots), cr.gammas[-1])
+    if two_rho_hr != 2 * (rd.p - 1):
+        raise StructuralError(f"{pair.name}: 2 rho(h_r) = {two_rho_hr} != 2 (p - 1) = {2 * (rd.p - 1)}")
     sum_n = root_sum(rs, part.noncompact_pos)
     two_rho_n = tuple(rs.coroot_pairing(sum_n, g) for g in cr.gammas)
     for j, v in enumerate(two_rho_n):
         if v != rd.p:
             raise StructuralError(f"{pair.name}: 2 rho_n(h_{j+1}) = {v} != p = {rd.p}")
-    return RhoReport(pair.label, rd.p, rho_hr, two_rho_n)
+    return RhoReport(pair.label, rd.p, two_rho_hr // 2, two_rho_n)

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (criterion: exists), 1 verification failure,
 2 usage error, 3 criterion negative, 4 internal error (one line; the
-traceback too when HDT_DEBUG is set).  All numeric report fields print
-with 12 significant digits; lambda is parsed as an exact decimal so
-boundary verdicts are deterministic.
+traceback too when HDT_DEBUG is set), 141 stdout closed by its reader
+(silent; 128 + SIGPIPE).  All numeric report fields print with 12
+significant digits; lambda is parsed as an exact decimal so boundary
+verdicts are deterministic.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_EXISTS = 3
 EXIT_INTERNAL = 4
+EXIT_OUTPUT_CLOSED = 141
+
+_DISC_NOTE = "disc normalization (k-1)/pi applied, k = -lambda"
 
 
 def fmt(x) -> str:
@@ -50,22 +54,17 @@ class UsageError(Exception):
 
 
 def _parse_lambda0(pair, text: str | None):
-    nodes = compact_nodes(pair)
     if text is None:
-        vals = [0] * len(nodes)
+        vals = [0] * len(compact_nodes(pair))
     else:
         try:
             vals = [int(v) for v in text.split(",")] if text.strip() else []
         except ValueError as exc:
             raise UsageError(f"lambda0 must be comma-separated integers: {exc}") from exc
-    if len(vals) != len(nodes):
-        raise UsageError(
-            f"{pair.label} needs {len(nodes)} lambda0 coordinates "
-            f"(compact nodes {[n + 1 for n in nodes]}), got {len(vals)}"
-        )
-    if any(v < 0 for v in vals):
-        raise UsageError("lambda0 coordinates must be non-negative (dominant)")
-    return extend_compact_coords(pair, vals)
+    try:
+        return extend_compact_coords(pair, vals)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _get_pair(label: str):
@@ -242,7 +241,7 @@ def cmd_integrate(args) -> int:
     note = report.note
     if scalar is not None and rd.r == 1:
         scalar *= (-float(lam) - 1.0) / math.pi
-        note = "disc normalization (k-1)/pi applied, k = -lambda"
+        note = "; ".join(filter(None, (note, _DISC_NOTE)))
 
     if args.output == "json":
         data = {
@@ -277,8 +276,8 @@ def cmd_integrate(args) -> int:
         print(f"empirical classification: {report.empirical_classification}")
     print(f"classification: {classification}")
     if scalar is not None:
-        # any other note is the not-run reason, printed above
-        print(f"formal dimension scalar: {fmt(scalar)}" + (f"  [{note}]" if rd.r == 1 else ""))
+        # the not-run reason, if any, is printed above
+        print(f"formal dimension scalar: {fmt(scalar)}" + (f"  [{_DISC_NOTE}]" if rd.r == 1 else ""))
     return EXIT_OK
 
 
@@ -383,7 +382,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: the rest of the output, and the final flush,
+        # go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

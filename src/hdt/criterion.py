@@ -59,8 +59,7 @@ class HighestWeightInput:
     lam: Fraction
 
     def __post_init__(self):
-        _validate_lambda0(self.pair, self.lambda0)
-        object.__setattr__(self, "lambda0", tuple(int(c) for c in self.lambda0))
+        object.__setattr__(self, "lambda0", _validate_lambda0(self.pair, self.lambda0))
         object.__setattr__(self, "lam", as_exact(self.lam))
 
 

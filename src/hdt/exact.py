@@ -1,9 +1,11 @@
 """Exact rational linear algebra on small dense matrices.
 
 Root and weight pairings do not come through here: they are integer tables
-in `rootsystem`.  This module solves the few genuinely rational systems,
-such as the fundamental weights in simple-root coordinates, on Python's
+in `rootsystem`.  This module solves the genuinely rational systems, such
+as the fundamental weights in simple-root coordinates, on Python's
 arbitrary-precision ``Fraction``; no rounding can occur anywhere in it.
+Entries may be ints, Fractions, decimal strings or floats: ``Fraction()``
+converts each exactly, a float at its binary value.
 Matrices are tiny (at most the rank of a Lie algebra, 8), so plain
 Gaussian elimination with the first nonzero pivot is all we need.
 """
@@ -18,18 +20,6 @@ class SingularMatrixError(ValueError):
     """A linear solve met a matrix that is singular over the rationals."""
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, Fraction or decimal string to an exact Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        # exact binary value of the float, not a decimal re-reading
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
-
-
 def solve_linear(m: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
     """Solve m x = v exactly for square invertible m over the rationals.
 
@@ -41,7 +31,7 @@ def solve_linear(m: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
         raise ValueError("matrix must be square")
     if len(v) != n:
         raise ValueError("dimension mismatch")
-    aug = [[rat(x) for x in row] + [rat(v[i])] for i, row in enumerate(m)]
+    aug = [[Fraction(x) for x in row] + [Fraction(v[i])] for i, row in enumerate(m)]
 
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)

@@ -5,9 +5,10 @@ Pairings are integer tables built once per root system: the symmetrized
 Cartan matrix 2 (alpha_i|alpha_j), normalized so that long roots have
 squared length 2, and each root's coroot in simple-coroot coordinates.  A
 weight given by its values on the simple coroots pairs with a coroot by an
-integer dot product; `Fraction` appears only for values that are truly
-half-integral.  No irrational Euclidean embedding ever appears, so all
-structure constants here are exact.
+integer dot product, and a squared length is the integer 2 (alpha|alpha).
+`Fraction` appears only in the fundamental weights, whose simple-root
+coordinates are rational.  No irrational Euclidean embedding ever appears,
+so all structure constants here are exact.
 """
 
 from __future__ import annotations
@@ -165,19 +166,12 @@ class RootSystem:
 
     # -- exact queries -----------------------------------------------------
     # Every pairing is an integer dot product against `sym` or the coroot
-    # table; a Fraction appears only where a value is truly half-integral.
+    # table.
 
     def inner2(self, u: Sequence, v: Sequence):
         """2 (u | v) for vectors in simple-root coordinates; an integer when
         u and v are."""
         return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.sym) if ui)
-
-    def inner(self, u: Sequence, v: Sequence) -> Fraction:
-        """(u | v) for vectors in simple-root coordinates."""
-        return Fraction(self.inner2(u, v), 2)
-
-    def norm_sq(self, v: Sequence) -> Fraction:
-        return self.inner(v, v)
 
     def coroot(self, alpha: Sequence) -> Root:
         """The coroot of the root alpha in simple-coroot coordinates."""

@@ -118,7 +118,7 @@ def run_numeric_suite(seed: int = 0, tol_scale: float = 1.0,
     res = max(mm.verify_sl2_identity(t) for t in np.linspace(-5, 5, 41))
     out.append(_check("sl2 three-factor identity, |t| <= 5", res, 1e-12 * tol_scale))
     res = max(mm.verify_sl2_identity(t) for t in (10.0, 18.0, 30.0, 80.0))
-    out.append(_check("sl2 three-factor identity, large t (log space)", res, 1e-8 * tol_scale))
+    out.append(_check("sl2 three-factor identity, large t", res, 1e-8 * tol_scale))
 
     for (p, q) in [(1, 1), (1, 2), (2, 2), (2, 3)]:
         # all triples of one (p, q) as one stack, drawn in the per-triple order

@@ -2,12 +2,14 @@
 
 A weight is a tuple of integer values on the simple coroots
 (fundamental-weight coordinates); it pairs with a root's coroot by an
-integer dot product against the coroot table of `rootsystem`.  Weights of
-compact-part irreducibles are generated by string saturation from the
-highest weight.  Multiplicities come from one Freudenthal recursion per
-weight system, whose memo every weight shares (`weight_multiplicities`);
-they weight the trace of the eps ladder and never change a convergence
-verdict.
+integer dot product against the coroot table of `rootsystem`.  rho and the
+Weyl dimension are integers too: a remainder in halving or dividing them
+is a StructuralError.  One function, `_validate_lambda0`, checks every
+highest weight Lambda0.  Weights of compact-part irreducibles are
+generated by string saturation from the highest weight.  Multiplicities
+come from one Freudenthal recursion per weight system, whose memo every
+weight shares (`weight_multiplicities`); they weight the trace of the eps
+ladder and never change a convergence verdict.
 """
 
 from __future__ import annotations
@@ -29,16 +31,14 @@ def weight_on_coroot(rs: RootSystem, w: Weight, alpha) -> int:
     return sum(map(mul, w, rs.coroot(alpha)))
 
 
-def _half(v) -> tuple:
-    # exact halves: even entries stay int, odd ones become Fractions
-    return tuple(c // 2 if c % 2 == 0 else Fraction(c, 2) for c in v)
-
-
 @lru_cache(maxsize=None)
 def rho_weight(pair: HermitianPair) -> Weight:
     """rho, the half sum of the positive roots, in weight coordinates."""
     rs = pair.root_system
-    return _half(rs.weight_coords(root_sum(rs, rs.positive_roots)))
+    two_rho = rs.weight_coords(root_sum(rs, rs.positive_roots))
+    if any(c % 2 for c in two_rho):
+        raise StructuralError(f"{pair.name}: rho is not integral on the simple coroots")
+    return tuple(c // 2 for c in two_rho)
 
 
 def lambda_one(pair: HermitianPair) -> Weight:
@@ -47,17 +47,11 @@ def lambda_one(pair: HermitianPair) -> Weight:
 
 
 def extend_compact_coords(pair: HermitianPair, compact_coords) -> Weight:
-    """Zero-extend coordinates given on the compact nodes to the full Cartan."""
-    nodes = compact_nodes(pair)
-    vals = list(compact_coords)
-    if len(vals) != len(nodes):
-        raise ValueError(
-            f"{pair.name}: expected {len(nodes)} compact coordinates, got {len(vals)}"
-        )
-    full = [0] * pair.root_system.rank
-    for i, v in zip(nodes, vals):
-        full[i] = v
-    return tuple(full)
+    """Zero-extend coordinates given on the compact nodes to the full Cartan,
+    and check them as `_validate_lambda0` does."""
+    full = list(compact_coords)
+    full.insert(pair.node, 0)  # the compact nodes are the others, in order
+    return _validate_lambda0(pair, full)
 
 
 def compact_fundamental_weights(pair: HermitianPair) -> tuple[Weight, ...]:
@@ -73,17 +67,24 @@ class KssWeightSystem:
     weights: tuple[Weight, ...]  # sorted, without multiplicities
 
 
-def _validate_lambda0(pair: HermitianPair, lambda0: Weight):
+def _validate_lambda0(pair: HermitianPair, lambda0) -> Weight:
+    """Lambda0 as a tuple of ints, after its four rules: one coordinate per
+    node (counted in the message on the compact nodes), zero on the
+    distinguished node, integral and dominant.  A broken rule raises
+    ValueError."""
+    nodes = compact_nodes(pair)
     if len(lambda0) != pair.root_system.rank:
-        raise ValueError("lambda0 has wrong length")
+        raise ValueError(f"{pair.label} needs {len(nodes)} lambda0 coordinates "
+                         f"(compact nodes {[n + 1 for n in nodes]}), got {len(lambda0) - 1}")
     if lambda0[pair.node] != 0:
         raise ValueError("lambda0 must vanish on the distinguished coroot")
-    for i in compact_nodes(pair):
+    for i in nodes:
         v = lambda0[i]
-        if Fraction(v).denominator != 1:
+        if int(v) != v:
             raise ValueError(f"lambda0 must be integral, got {v} at node {i + 1}")
         if v < 0:
             raise ValueError(f"lambda0 must be dominant, got {v} at node {i + 1}")
+    return tuple(int(c) for c in lambda0)
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +99,9 @@ def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
     weight's string reaches past mu - c*alpha, so each string is walked
     about once.
     """
-    _validate_lambda0(pair, lambda0)
+    start = _validate_lambda0(pair, lambda0)
     rs = pair.root_system
     rows = {i: rs.cartan[i] for i in compact_nodes(pair)}
-    start = tuple(int(c) for c in lambda0)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -183,7 +183,7 @@ def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:
     return m
 
 
-def weyl_dimension(pair: HermitianPair, lambda0: Weight) -> Fraction:
+def weyl_dimension(pair: HermitianPair, lambda0: Weight) -> int:
     # dim tau_lambda0 = prod (lam + rho_c | alpha) / (rho_c | alpha) over the
     # compact positive roots, each ratio read on alpha^vee; no weight is built
     rs = pair.root_system
@@ -194,7 +194,10 @@ def weyl_dimension(pair: HermitianPair, lambda0: Weight) -> Fraction:
     for alpha in compact_pos:
         num *= weight_on_coroot(rs, shifted, alpha)
         den *= weight_on_coroot(rs, two_rho_c, alpha)
-    return Fraction(num, den)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise StructuralError(f"{pair.name}: Weyl dimension {num}/{den} is not an integer")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ def verify_weight_bound(pair: HermitianPair, ws: KssWeightSystem) -> WeightBound
     """
     rs = pair.root_system
     gammas = strongly_orthogonal_cascade(pair).gammas
-    half_len = rs.norm_sq(gammas[-1]) / 2
+    half_len = Fraction(rs.inner2(gammas[-1], gammas[-1]), 4)
     top = weight_on_coroot(rs, ws.highest, gammas[-1])
     max_val = None
     n = 0

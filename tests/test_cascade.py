@@ -58,7 +58,7 @@ def test_sp3_cascade_is_the_long_roots():
     assert set(cr.gammas) == {(2, 2, 1), (0, 2, 1), (0, 0, 1)}
     assert cr.gammas[-1] == (2, 2, 1)  # ascending, highest last
     rs = pr.root_system
-    assert all(rs.norm_sq(g) == 2 for g in cr.gammas)
+    assert all(rs.inner2(g, g) == 4 for g in cr.gammas)
 
 
 @pytest.mark.parametrize("label", ["su12", "su22", "su23", "sp2", "sp3", "so2_5", "sostar8"])
@@ -177,5 +177,5 @@ def test_equal_gamma_lengths():
     for pr in catalog():
         rs = pr.root_system
         cr = strongly_orthogonal_cascade(pr)
-        top = rs.norm_sq(rs.highest_root)
-        assert all(rs.norm_sq(g) == top for g in cr.gammas)
+        top = rs.inner2(rs.highest_root, rs.highest_root)
+        assert all(rs.inner2(g, g) == top for g in cr.gammas)

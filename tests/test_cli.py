@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,17 @@ def run_cli(*args, env_extra=None):
         env=env,
         timeout=600,
     )
+
+
+def run_cli_into_closed_pipe(*args):
+    """Run the CLI with a stdout whose reader has already gone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "hdt.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=600)
+    finally:
+        os.close(write_end)
 
 
 @pytest.mark.parametrize(
@@ -111,6 +123,35 @@ def test_exit_codes_matrix():
     assert "FAIL" in res.stdout
     # 0: the disc checks are deterministic, so no seed misses their tolerance
     assert run_cli("verify", "numeric", "--fast", "--seed", "584098").returncode == 0
+    # 141: stdout closed by its reader, reported by the exit code alone
+    for args in (("catalog",), ("verify", "exact")):
+        res = run_cli_into_closed_pipe(*args)
+        assert (res.returncode, res.stderr) == (141, ""), args
+
+
+@pytest.mark.parametrize("coords,message,cli_arg", [
+    ((Fraction(1, 2), 0), "lambda0 must be integral, got 1/2 at node 1", None),
+    ((-1, 0), "lambda0 must be dominant, got -1 at node 1", "-1,0"),
+    ((1,), "su22 needs 2 lambda0 coordinates (compact nodes [1, 3]), got 1", "1"),
+], ids=["half", "negative", "length"])
+def test_lambda0_rules_give_one_message_on_every_path(capsys, coords, message, cli_arg):
+    import hdt.cli
+    from hdt.criterion import HighestWeightInput
+    from hdt.weights import extend_compact_coords, weight_system
+
+    pr = hdt.cli.pair_by_label("su22")
+    paths = [lambda: extend_compact_coords(pr, coords)]
+    if len(coords) == 2:
+        full = (coords[0], 0, coords[1])  # su22's distinguished node is node 2
+        paths += [lambda: HighestWeightInput(pr, full, -9), lambda: weight_system(pr, full)]
+    for path in paths:
+        with pytest.raises(ValueError) as exc:
+            path()
+        assert str(exc.value) == message
+    if cli_arg:
+        # written with "=": argparse reads "--lambda0 -1,0" as a missing value
+        assert hdt.cli.main(["criterion", "su22", "--lambda", "-9", f"--lambda0={cli_arg}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_imports_only_numpy_and_the_standard_library():
@@ -260,6 +301,18 @@ def test_integrate_lost_precision_reports_analytic_verdict():
     assert data["empirical"] == "not-run"
     assert data["ladder"] == []
     assert "lost precision" in data["scalar_note"]
+
+
+def test_integrate_rank_one_json_keeps_the_not_run_reason(capsys):
+    # the su11 ladder at lambda = -10^6 exceeds the full integral; the JSON
+    # note carries that reason and the disc normalization both
+    import hdt.cli
+
+    assert hdt.cli.main(["integrate", "su11", "--lambda", "-1000000", "--output", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["empirical"] == "not-run"
+    assert "lost precision" in data["scalar_note"]
+    assert "disc normalization" in data["scalar_note"]
 
 
 def test_integrate_json():

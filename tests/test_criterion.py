@@ -180,7 +180,7 @@ def _oracle_trace(inp):
 
     def full_pairing(v) -> Fraction:
         on_coroot = weight_on_coroot(rs, base, v) + inp.lam * weight_on_coroot(rs, lam1, v)
-        return on_coroot * rs.norm_sq(v) / 2
+        return on_coroot * rs.inner2(v, v) / 4
 
     top = full_pairing(gamma_r)
     entries = []
@@ -219,9 +219,9 @@ def test_lambda_one_pairs_equally_with_every_noncompact_root():
         rs = pr.root_system
         lam1 = lambda_one(pr)
         gamma_r = strongly_orthogonal_cascade(pr).gammas[-1]
-        want = weight_on_coroot(rs, lam1, gamma_r) * rs.norm_sq(gamma_r)
+        want = weight_on_coroot(rs, lam1, gamma_r) * rs.inner2(gamma_r, gamma_r)
         for gamma in partition_roots(pr).noncompact_pos:
-            assert weight_on_coroot(rs, lam1, gamma) * rs.norm_sq(gamma) == want
+            assert weight_on_coroot(rs, lam1, gamma) * rs.inner2(gamma, gamma) == want
 
 
 @pytest.fixture

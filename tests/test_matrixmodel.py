@@ -51,7 +51,7 @@ def test_sl2_identity_values():
     assert verify_sl2_identity(1.0) < 1e-12
     assert verify_sl2_identity(5.0) < 1e-12
     assert verify_sl2_identity(10.0) < 1e-8
-    assert verify_sl2_identity(50.0) < 1e-8  # log-space branch
+    assert verify_sl2_identity(50.0) < 1e-8
     assert verify_sl2_identity(-3.0) < 1e-12
 
 

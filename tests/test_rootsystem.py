@@ -49,8 +49,8 @@ def test_c2_hand_enumeration():
     assert set(rs.positive_roots) == pos
     assert rs.highest_root == (2, 1)
     # alpha_1 short, alpha_2 long under the long-root-2 normalization
-    assert rs.norm_sq((1, 0)) == 1
-    assert rs.norm_sq((0, 1)) == 2
+    assert rs.inner2((1, 0), (1, 0)) == 2
+    assert rs.inner2((0, 1), (0, 1)) == 4
 
 
 def test_e7_count():
@@ -69,7 +69,7 @@ def test_cartan_integer_examples():
     for alpha in rs.all_roots:
         assert rs.coroot_pairing(alpha, alpha) == 2
     # orthogonal pair in B2: alpha_2-string boundary roots e1-e2 and e1+e2
-    assert rs.inner((1, 0), (1, 2)) == 0
+    assert rs.inner2((1, 0), (1, 2)) == 0
     assert rs.coroot_pairing((1, 0), (1, 2)) == 0
 
 
@@ -103,7 +103,7 @@ def test_reflection_basics():
     for alpha in rs.simple_roots:
         assert reflect(rs, alpha, alpha) == tuple(-c for c in alpha)
     # perpendicular vector is fixed: in C3, (1,0,0) and (0,0,1) are orthogonal
-    assert rs.inner((1, 0, 0), (0, 0, 1)) == 0
+    assert rs.inner2((1, 0, 0), (0, 0, 1)) == 0
     assert reflect(rs, (0, 0, 1), (1, 0, 0)) == (1, 0, 0)
 
 
@@ -144,7 +144,7 @@ def test_gram_weyl_invariance(u, v, root_idx):
     alpha = rs.positive_roots[root_idx]
     su = reflect(rs, alpha, u)
     sv = reflect(rs, alpha, v)
-    assert rs.inner(su, sv) == rs.inner(u, v)
+    assert rs.inner2(su, sv) == rs.inner2(u, v)
 
 
 @settings(max_examples=40)

@@ -185,6 +185,16 @@ def test_multiplicities_sum_to_weyl_dimension(label, lam0, dim):
     assert sum(weight_multiplicities(ws).values()) == dim
 
 
+def test_structure_integers_are_ints():
+    # == would accept a Fraction with denominator 1
+    for pr in catalog():
+        for lam0 in [extend_compact_coords(pr, [0] * len(compact_nodes(pr))),
+                     *compact_fundamental_weights(pr)]:
+            assert type(weyl_dimension(pr, lam0)) is int
+        assert all(type(c) is int for c in rho_weight(pr))
+        assert type(verify_rho_identities(pr).rho_on_h_r) is int
+
+
 def test_weyl_invariance_of_weight_set():
     pr = pair_by_label("su23")
     lam0 = compact_fundamental_weights(pr)[1]
