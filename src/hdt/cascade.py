@@ -8,15 +8,14 @@ whose multiplicities (a, b) determine the genus p = (r-1)a + b + 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .hermitian import HermitianPair, partition_roots
 from .rootsystem import Root, StructuralError
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
     """gammas ascending: gammas[-1] is the highest noncompact root."""
 
     pair: HermitianPair
@@ -27,8 +26,7 @@ class CascadeResult:
         return len(self.gammas)
 
 
-@dataclass(frozen=True)
-class RestrictedData:
+class RestrictedData(NamedTuple):
     r: int
     a: int  # 0 with a_defined=False in the rank-1 degenerate case
     b: int
@@ -182,8 +180,7 @@ def restricted_root_data(pair: HermitianPair) -> RestrictedData:
     return RestrictedData(r, a, b, p, tag, a_defined, zero_compact)
 
 
-@dataclass(frozen=True)
-class RhoReport:
+class RhoReport(NamedTuple):
     pair_label: str
     p: int
     rho_on_h_r: int  # must equal p - 1

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
@@ -373,8 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_verify)
     for parser in (ap, *sub.choices.values()):
-        # argparse's own errors end in one line too, without its usage block
-        parser.error = lambda message: ap.exit(EXIT_USAGE, f"error: {message}\n")
+        # argparse's own errors end in one line too, without its usage block;
+        # it takes the value in "--lambda0 -1,0" for an option, so name the "=" form
+        parser.error = lambda message: ap.exit(EXIT_USAGE, f"error: {message}" + (
+            " (write a negative value as --lambda0=-1,0)"
+            if message.startswith("argument --lambda0") else "") + "\n")
     return ap
 
 
@@ -395,6 +397,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except Exception as exc:
         if "HDT_DEBUG" in os.environ:
+            import traceback
+
             traceback.print_exc()
         detail = str(exc).replace("\n", " ")
         print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)

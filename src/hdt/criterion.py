@@ -16,7 +16,6 @@ checked and cached once per (pair, Lambda_0).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -52,19 +51,20 @@ def as_exact(lam) -> Fraction:
     return Fraction(lam)
 
 
-@dataclass(frozen=True)
-class HighestWeightInput:
+class _HighestWeightInput(NamedTuple):
     pair: HermitianPair
     lambda0: Weight  # full-rank weight coords, zero on the distinguished coroot
     lam: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambda0", _validate_lambda0(self.pair, self.lambda0))
-        object.__setattr__(self, "lam", as_exact(self.lam))
+
+class HighestWeightInput(_HighestWeightInput):
+    __slots__ = ()
+
+    def __new__(cls, pair: HermitianPair, lambda0, lam):
+        return super().__new__(cls, pair, _validate_lambda0(pair, lambda0), as_exact(lam))
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     pair_label: str
     exists: bool
     threshold: Fraction  # 1 - p - lambda0(h_r), exact
@@ -74,8 +74,7 @@ class CriterionVerdict:
     lambda_is_integer: bool  # advisory single-valuedness flag, not enforced
 
 
-@dataclass(frozen=True)
-class OriginalFormResult:
+class OriginalFormResult(NamedTuple):
     exists: bool
     witnesses: tuple[Root, ...]
     values: tuple[Fraction, ...]  # (Lambda + rho)(h_gamma) per noncompact root
@@ -141,8 +140,7 @@ def hc_condition(inp: HighestWeightInput) -> CriterionVerdict:
     )
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     gamma: Root
     expansion: tuple[int, ...]  # m with gamma = gamma_r - sum m_j alpha_j, m >= 0
     pairing: Fraction  # (Lambda + rho | gamma)

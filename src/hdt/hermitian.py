@@ -9,28 +9,33 @@ noncompact root spaces an Abelian pair of subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootsystem import CartanType, Root, RootSystem, StructuralError, build_root_system
 
 
-@dataclass(frozen=True)
-class HermitianPair:
+class _HermitianPair(NamedTuple):
     cartan_type: CartanType
     node: int  # 0-based index of the distinguished simple root
     label: str  # stable CLI token, e.g. "su23", "sp3", "sostar10", "so2_5"
     name: str  # display name, e.g. "su(2,3)"
 
-    def __post_init__(self):
+
+class HermitianPair(_HermitianPair):
+    __slots__ = ()
+
+    def __new__(cls, cartan_type: CartanType, node: int, label: str, name: str):
+        self = super().__new__(cls, cartan_type, node, label, name)
         rs = self.root_system
-        if not (0 <= self.node < rs.rank):
+        if not (0 <= node < rs.rank):
             raise ValueError("node index out of range")
-        if rs.highest_root[self.node] != 1:
+        if rs.highest_root[node] != 1:
             raise ValueError(
-                f"{self.name}: node {self.node + 1} is not cominuscule "
-                f"(highest-root coefficient {rs.highest_root[self.node]})"
+                f"{name}: node {node + 1} is not cominuscule "
+                f"(highest-root coefficient {rs.highest_root[node]})"
             )
+        return self
 
     @property
     def root_system(self) -> RootSystem:
@@ -40,8 +45,7 @@ class HermitianPair:
         return self.label
 
 
-@dataclass(frozen=True)
-class RootPartition:
+class RootPartition(NamedTuple):
     compact_pos: tuple[Root, ...]
     noncompact_pos: tuple[Root, ...]
 

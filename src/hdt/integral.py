@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .cascade import restricted_root_data, strongly_orthogonal_cascade
 from .criterion import HighestWeightInput, as_exact, hc_condition_original
@@ -65,8 +65,7 @@ _RANK_CAP = f"rank above quadrature cap ({MAX_QUADRATURE_RANK})"
 MAX_TRACE_DIM = 10_000
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
+class IntegralSpec(NamedTuple):
     r: int
     a: int
     b: int
@@ -74,8 +73,7 @@ class IntegralSpec:
     multiplicities: tuple[int, ...]  # per row, summed over the weights sharing it
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     truncated_values: tuple[tuple[float, float], ...]  # (eps, estimate)
     fitted_slope: float  # log-estimate vs log(1/eps), least squares
     increment_exponent: float  # decade ratio of successive increments

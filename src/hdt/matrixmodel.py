@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,22 +47,16 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -2, -1).conj()
 
 
-@dataclass
 class BlockMatrixElement:
     """An element of U(p,q), or a stack of them when mat is (..., n, n)."""
 
-    mat: np.ndarray
-    p: int
-    q: int
-    check: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        n = self.p + self.q
-        self.mat = np.asarray(self.mat, dtype=complex)
+    def __init__(self, mat: np.ndarray, p: int, q: int, check: bool = True):
+        n = p + q
+        self.mat, self.p, self.q = np.asarray(mat, dtype=complex), p, q
         if self.mat.shape[-2:] != (n, n):
             raise ValueError(f"expected {n} x {n} matrix")
-        if self.check:
-            e = eta(self.p, self.q)
+        if check:
+            e = eta(p, q)
             res = _max_abs(_adjoint(self.mat) @ e @ self.mat - e)
             bad = res > MEMBERSHIP_TOL * np.maximum(1.0, _max_abs(self.mat) ** 2)
             if np.any(bad):
@@ -232,8 +226,7 @@ def random_triples(
 # -- factorization and action -------------------------------------------------
 
 
-@dataclass
-class FactorizationResult:
+class FactorizationResult(NamedTuple):
     w: np.ndarray  # the image point g . z
     k_plus: np.ndarray  # p x p block of the automorphy factor
     k_minus: np.ndarray  # q x q block of the automorphy factor

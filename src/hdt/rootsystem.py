@@ -13,11 +13,10 @@ so all structure constants here are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import solve_linear
 
@@ -33,18 +32,22 @@ class StructuralError(AssertionError):
     """An identity that is a theorem failed; indicates an implementation bug."""
 
 
-@dataclass(frozen=True)
-class CartanType:
+class _CartanType(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < _MIN_RANK[self.family]:
-            raise ValueError(f"family {self.family} needs rank >= {_MIN_RANK[self.family]}")
-        if self.family in _MAX_RANK and self.rank != _MAX_RANK[self.family]:
-            raise ValueError(f"family {self.family} has fixed rank {_MAX_RANK[self.family]}")
+
+class CartanType(_CartanType):
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if rank < _MIN_RANK[family]:
+            raise ValueError(f"family {family} needs rank >= {_MIN_RANK[family]}")
+        if family in _MAX_RANK and rank != _MAX_RANK[family]:
+            raise ValueError(f"family {family} has fixed rank {_MAX_RANK[family]}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return self.family if self.family.startswith("E") else f"{self.family}{self.rank}"

@@ -14,10 +14,10 @@ ladder and never change a convergence verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
+from typing import NamedTuple
 
 from .cascade import root_sum, strongly_orthogonal_cascade
 from .hermitian import HermitianPair, compact_nodes, partition_roots
@@ -60,8 +60,7 @@ def compact_fundamental_weights(pair: HermitianPair) -> tuple[Weight, ...]:
     return tuple(tuple(int(j == i) for j in range(n)) for i in compact_nodes(pair))
 
 
-@dataclass(frozen=True)
-class KssWeightSystem:
+class KssWeightSystem(NamedTuple):
     pair: HermitianPair
     highest: Weight
     weights: tuple[Weight, ...]  # sorted, without multiplicities
@@ -200,8 +199,7 @@ def weyl_dimension(pair: HermitianPair, lambda0: Weight) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class WeightBoundReport:
+class WeightBoundReport(NamedTuple):
     pair_label: str
     lambda0: Weight
     bound: Fraction  # (lambda0 | gamma_r)

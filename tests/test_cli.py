@@ -94,7 +94,11 @@ def test_exit_codes_matrix():
     assert run_cli("criterion", "bogus", "--lambda", "-2").returncode == 2
     assert run_cli("criterion", "su11", "--lambda", "1e-3").returncode == 2
     assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "1").returncode == 2
-    assert run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "-1,0").returncode == 2
+    # argparse takes a spaced negative Lambda0 for an option; the message names the "=" form
+    res = run_cli("criterion", "su22", "--lambda", "-9", "--lambda0", "-1,0")
+    assert (res.returncode, res.stderr) == (2, "error: argument --lambda0: expected one "
+                                               "argument (write a negative value as "
+                                               "--lambda0=-1,0)\n")
     # argparse's own errors (bad command, missing option, bad type) are one line too
     for bad in (("nonsense",), ("criterion", "su11"), ("verify", "numeric", "--seed", "abc")):
         res = run_cli(*bad)
@@ -211,6 +215,19 @@ def test_exact_commands_load_neither_numpy_nor_the_matrix_model():
         ["integrate", 0, ["numpy"]],
         ["verify", 0, ["numpy", "hdt.matrixmodel"]],
     ]
+
+
+@pytest.mark.parametrize("module,absent", [
+    ("hdt.cli", ("dataclasses", "traceback", "numpy")),
+    ("hdt.matrixmodel", ("dataclasses", "traceback")),
+], ids=["hdt.cli", "hdt.matrixmodel"])
+def test_start_up_imports_neither_dataclasses_nor_traceback(module, absent):
+    # start-up cost: dataclasses imports inspect, ast and dis, and generates
+    # the code of each record; traceback serves HDT_DEBUG alone
+    code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=600)
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
 
 
 @pytest.mark.parametrize("debug", [False, True], ids=["plain", "HDT_DEBUG"])

@@ -1,13 +1,16 @@
 """Quadrature correctness against closed forms and convergence classification."""
 
+import io
 import json
 import math
-from dataclasses import replace
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hdt import cli
 from hdt.cascade import restricted_root_data
 from hdt.criterion import HighestWeightInput, hc_condition, hc_threshold
 from hdt.hermitian import catalog, pair_by_label
@@ -188,7 +191,7 @@ def test_grouped_integral_is_the_weighted_trace():
     mults = weight_multiplicities(ws)
     trace = 0.0
     for mu in ws.weights:
-        one = build_integrand(pr, replace(ws, weights=(mu,)), -24)
+        one = build_integrand(pr, ws._replace(weights=(mu,)), -24)
         assert one.multiplicities == (1,)
         trace += mults[mu] * integrate(one, 1e-3, 16)
     assert integrate(grouped, 1e-3, 16) == pytest.approx(trace, rel=1e-12)
@@ -651,3 +654,54 @@ def test_agreement_sign_with_criterion():
         exact_exists = lam < thr
         empirical_exists = lam < emp
         assert exact_exists == empirical_exists
+
+
+# -- property: the integrate command under arbitrary flags ---------------------
+
+# restricted rank 1 and 2 on small Lie ranks, so that every example is cheap;
+# each with its threshold at Lambda0 = 0
+FUZZ_PAIRS = st.sampled_from([(pr, int(hc_threshold(pr, _zero(pr)))) for pr in
+                              map(pair_by_label, ("su11", "su12", "su22", "sp2", "so2_3"))])
+FUZZ_LAMBDA0 = {n: st.lists(st.sampled_from((0, 0, 1, 1, 2, 2, -1)), min_size=n, max_size=n)
+                for n in range(4)}
+GOOD_EPS = ("0.5", "0.1", "1e-2", "1e-3", "1e-5", "1e-12")
+BAD_EPS = ("0", "1", "-1e-3", "1e-13", "x", "")
+# three draws in four are a valid ladder
+FUZZ_EPS = st.sampled_from(
+    [st.lists(st.sampled_from(GOOD_EPS), min_size=3, max_size=5, unique=True)] * 3
+    + [st.lists(st.sampled_from(GOOD_EPS + BAD_EPS), min_size=1, max_size=5)])
+
+
+@st.composite
+def integrate_argv(draw):
+    """`integrate` with --eps, --order, --lambda and --lambda0 each valid most
+    of the time: Lambda0 entries in [-1, 2], now and then a coordinate short
+    or long; lambda within 4 of the Lambda0 = 0 threshold, or not a plain
+    decimal; eps ladders of distinct values in [MIN_EPS, 1), or any list;
+    orders in [1, MAX_ORDER] and just outside it."""
+    pr, threshold = draw(FUZZ_PAIRS)
+    n = max(pr.root_system.rank - 1 + draw(st.sampled_from((0,) * 6 + (-1, 1))), 0)
+    lam0 = draw(FUZZ_LAMBDA0[n])
+    near = f"{threshold + draw(st.integers(-400, 400)) / 100:.2f}"
+    lam = draw(st.sampled_from((near,) * 6 + ("1e-3", "abc")))
+    eps = draw(draw(FUZZ_EPS))
+    order = draw(st.sampled_from((1, 2, 8, 16, 24, 24, 24, 0, 129)))
+    return ["integrate", pr.label, f"--lambda={lam}", f"--lambda0={','.join(map(str, lam0))}",
+            f"--eps={','.join(eps)}", f"--order={order}", "--output", "json"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(integrate_argv())
+def test_integrate_command_property(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["classification"] in ("convergent", "divergent")
+    else:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -1,9 +1,12 @@
 """Every function and method under src/hdt has a caller in the program or
-the benchmark, so no library surface lives on for tests alone."""
+the benchmark, so no library surface lives on for tests alone; and every
+record the library returns is immutable."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,3 +69,37 @@ def test_every_function_has_a_caller_outside_the_tests():
         "called only by tests (delete it, or move it into its test as an oracle); "
         "or an exemption that a caller has made stale"
     )
+
+
+def _records():
+    """One of each record the library returns, built as the program builds it."""
+    import numpy as np
+
+    from hdt import matrixmodel
+    from hdt.cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
+    from hdt.criterion import (HighestWeightInput, hc_condition, hc_condition_original,
+                               reduction_trace)
+    from hdt.hermitian import pair_by_label, partition_roots
+    from hdt.integral import build_integrand, classify_convergence
+    from hdt.suite import CheckResult
+    from hdt.weights import extend_compact_coords, verify_weight_bound, weight_system
+
+    pr = pair_by_label("su22")
+    inp = HighestWeightInput(pr, extend_compact_coords(pr, (1, 0)), -9)
+    ws = weight_system(pr, inp.lambda0)
+    spec = build_integrand(pr, ws, inp.lam)
+    g = matrixmodel.identity_element(2, 2)
+    return [pr.cartan_type, pr, partition_roots(pr), strongly_orthogonal_cascade(pr),
+            restricted_root_data(pr), verify_rho_identities(pr), inp, hc_condition(inp),
+            hc_condition_original(inp), reduction_trace(inp)[0], ws,
+            verify_weight_bound(pr, ws), spec, classify_convergence(spec),
+            CheckResult("check", True, 0.0, 0.0),
+            matrixmodel.hc_factorize(g, np.zeros((2, 2), dtype=complex))]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_reject_attribute_assignment(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None  # a subclass without __slots__ would take this
