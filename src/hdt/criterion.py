@@ -98,15 +98,22 @@ def _noncompact_table(pair: HermitianPair) -> tuple[_Row, ...]:
                  for g in partition_roots(pair).noncompact_pos)
 
 
-def hc_condition_original(inp: HighestWeightInput) -> OriginalFormResult:
-    """(Lambda + rho)(h_gamma) < 0 for every noncompact positive gamma, read
-    for lambda = n/d off the integer d (Lambda_0 + rho)(h_gamma) + n Lambda_1(h_gamma)."""
+def _pairings(inp: HighestWeightInput) -> tuple[list[int], tuple[Root, ...]]:
+    """For lambda = n/d, the integer d (Lambda_0 + rho)(h_gamma) + n Lambda_1(h_gamma)
+    = d (Lambda + rho)(h_gamma) per noncompact positive gamma, and the gammas
+    where it is >= 0."""
     n, d = inp.lam.numerator, inp.lam.denominator
     table = _noncompact_table(inp.pair)
     nums = [d * (sum(map(mul, inp.lambda0, row.coroot)) + row.rho) + n * row.lam1
             for row in table]
-    witnesses = tuple(row.gamma for row, v in zip(table, nums) if v >= 0)
-    return OriginalFormResult(not witnesses, witnesses, tuple(Fraction(v, d) for v in nums))
+    return nums, tuple(row.gamma for row, v in zip(table, nums) if v >= 0)
+
+
+def hc_condition_original(inp: HighestWeightInput) -> OriginalFormResult:
+    """(Lambda + rho)(h_gamma) < 0 for every noncompact positive gamma."""
+    nums, witnesses = _pairings(inp)
+    values = tuple(Fraction(v, inp.lam.denominator) for v in nums)
+    return OriginalFormResult(not witnesses, witnesses, values)
 
 
 def hc_threshold(pair: HermitianPair, lambda0: Weight) -> Fraction:
@@ -124,8 +131,8 @@ def hc_condition(inp: HighestWeightInput) -> CriterionVerdict:
     """
     threshold = hc_threshold(inp.pair, inp.lambda0)
     exists = inp.lam < threshold
-    orig = hc_condition_original(inp)
-    if exists != orig.exists:
+    witnesses = _pairings(inp)[1]
+    if exists != (not witnesses):
         raise StructuralError(
             f"{inp.pair.name}: criterion forms disagree at lambda = {inp.lam}"
         )
@@ -134,8 +141,8 @@ def hc_condition(inp: HighestWeightInput) -> CriterionVerdict:
         exists=exists,
         threshold=threshold,
         margin=float(threshold - inp.lam),
-        original_form_exists=orig.exists,
-        witnesses=orig.witnesses,
+        original_form_exists=not witnesses,
+        witnesses=witnesses,
         lambda_is_integer=inp.lam.denominator == 1,
     )
 

@@ -244,8 +244,8 @@ def hc_factorize(g: BlockMatrixElement, z: np.ndarray) -> FactorizationResult:
     group elements acting on interior points.
     """
     a, c = g.A, g.C
-    b, d, w = _image(g, z)
-    y = _solve(d, c)
+    b, d, w, d_inv = _image(g, z)
+    y = d_inv @ c
     k_plus = a - w @ c
     # upper . diag . lower = [[k_plus + w D' y, w D'], [D' y, D']]
     wd = w @ d
@@ -255,36 +255,24 @@ def hc_factorize(g: BlockMatrixElement, z: np.ndarray) -> FactorizationResult:
     return FactorizationResult(w, k_plus, d, y, res / np.maximum(1.0, scale))
 
 
-def _solve(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d^-1 b for a lower-right block d; a singular d is outside the cell."""
-    try:
-        return np.linalg.solve(d, b)
-    except np.linalg.LinAlgError as exc:
-        raise OutsideCellError("lower-right block is singular") from exc
+def _image(g: BlockMatrixElement, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A z + B, C z + D, the image point (A z + B)(C z + D)^-1 and (C z + D)^-1.
 
-
-def _right_divide(b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """b d^-1, through the transposed system."""
-    return np.swapaxes(_solve(np.swapaxes(d, -2, -1), np.swapaxes(b, -2, -1)), -2, -1)
-
-
-def _require_invertible(d: np.ndarray, g: BlockMatrixElement, z: np.ndarray):
-    # relative smallest singular value of each stacked block; g . exp(z)
-    # leaves the factorizable cell exactly when this block degenerates
-    scale = np.maximum(1.0, _max_abs(g.mat)) * np.maximum(1.0, _max_abs(z))
-    if np.any(np.linalg.svd(d, compute_uv=False)[..., -1] <= 1e-13 * scale):
-        raise OutsideCellError("lower-right block is singular: outside the open cell")
-
-
-def _image(g: BlockMatrixElement, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A z + B, C z + D and the image point (A z + B)(C z + D)^-1.
-
-    Raises OutsideCellError when some C z + D is singular.
+    Raises OutsideCellError when some C z + D is singular relative to g and
+    z: when 1 / ||(C z + D)^-1||_F, a lower bound on its smallest singular
+    value, is at most 1e-13 scale.
     """
     z = np.asarray(z, dtype=complex)
     num, den = g.A @ z + g.B, g.C @ z + g.D
-    _require_invertible(den, g, z)
-    return num, den, _right_divide(num, den)
+    scale = np.maximum(1.0, _max_abs(g.mat)) * np.maximum(1.0, _max_abs(z))
+    try:
+        inv = np.linalg.inv(den)
+    except np.linalg.LinAlgError as exc:
+        raise OutsideCellError("lower-right block is singular") from exc
+    # not (... < 1) refuses a NaN norm as well
+    if not np.all(np.linalg.norm(inv, axis=(-2, -1)) * (1e-13 * scale) < 1.0):
+        raise OutsideCellError("lower-right block is singular: outside the open cell")
+    return num, den, num @ inv, inv
 
 
 def mobius_action(g: BlockMatrixElement, z: np.ndarray) -> np.ndarray:
@@ -464,6 +452,17 @@ def disc_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     weights = np.repeat(u * (np.pi / (4.0 * n)), 2 * n)
     z.flags.writeable = weights.flags.writeable = False
     return z, weights
+
+
+def disc_order(ratio: float) -> int:
+    """The smallest power of two n >= 32, and at most DISC_ORDER, with
+    ratio^(2n) <= 1e-17: disc_rule(n)'s trapezoidal error for an integrand
+    whose angular modes decay like ratio^m, such as |c/d| of g = [[a, b],
+    [c, d]] in the Moebius checks and |w| for the kernel at w."""
+    n = 32
+    while n < DISC_ORDER and ratio ** (2 * n) > 1e-17:
+        n *= 2
+    return n
 
 
 def verify_reproducing_kernel_disc(

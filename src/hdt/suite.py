@@ -97,7 +97,8 @@ def run_exact_suite() -> list[CheckResult]:
                 v = hc_condition(inp)  # raises if the two forms disagree
                 if v.exists != (off < 0):
                     bad += 1
-                reduction_trace(inp)  # raises on a bad expansion
+            # raises on a bad expansion; its checks are lambda-free, so one lambda will do
+            reduction_trace(HighestWeightInput(pair, lam0, thr))
             out.append(_check(f"{pair.label}: criterion forms agree (lambda0 #{i})", bad, 0))
     return out
 
@@ -203,19 +204,23 @@ def run_numeric_suite(seed: int = 0, tol_scale: float = 1.0,
     out.append(_check("Cayley rotation lands in the coroot span, r=2 su(2,2)",
                       mm.cayley_verify(2, 2, 2), 1e-10 * tol_scale))
 
-    est, exact, err = mm.verify_reproducing_kernel_disc(3, [0, 0, 1], 0.3)
-    out.append(_check("reproducing property on the disc (k=3, f=z^2, w=0.3)",
-                      err, 1e-12 * tol_scale, f"integral {est.real:.8f} vs {exact.real:.8f}"))
+    n = mm.disc_order(0.3)
+    est, exact, err = mm.verify_reproducing_kernel_disc(3, [0, 0, 1], 0.3, n_samples=n)
+    out.append(_check("reproducing property on the disc (k=3, f=z^2, w=0.3)", err,
+                      1e-12 * tol_scale,
+                      f"integral {est.real:.8f} vs {exact.real:.8f}, disc rule order {n}"))
 
-    # the disc rule's angular error decays like |c/d|^(2 DISC_ORDER) for
-    # g = [[a, b], [c, d]]; scale 0.3 keeps |c/d| well inside what it resolves
+    # the disc rule's angular error decays like |c/d|^(2n) for g = [[a, b],
+    # [c, d]], and g^-1 has the same |c/d|; scale 0.3 keeps |c/d| inside
+    # what DISC_ORDER resolves
     g_mc = mm.random_su(rng, 1, 1, scale=0.3)
-    nf, nug = mm.multiplier_unitarity_mc(g_mc, 4, [1, 0.5, 0.25j])
+    n = mm.disc_order(abs(g_mc.C[0, 0] / g_mc.D[0, 0]))
+    nf, nug = mm.multiplier_unitarity_mc(g_mc, 4, [1, 0.5, 0.25j], n=n)
     out.append(_check("multiplier representation unitarity",
-                      abs(nf - nug) / nf, 1e-12 * tol_scale))
-    ef, eg = mm.measure_invariance_mc(g_mc)
+                      abs(nf - nug) / nf, 1e-12 * tol_scale, f"disc rule order {n}"))
+    ef, eg = mm.measure_invariance_mc(g_mc, n=n)
     out.append(_check("invariant measure pushforward",
-                      abs(ef - eg) / ef, 1e-12 * tol_scale))
+                      abs(ef - eg) / ef, 1e-12 * tol_scale, f"disc rule order {n}"))
     return out
 
 

@@ -49,7 +49,10 @@ def lambda_one(pair: HermitianPair) -> Weight:
 def extend_compact_coords(pair: HermitianPair, compact_coords) -> Weight:
     """Zero-extend coordinates given on the compact nodes to the full Cartan,
     and check them as `_validate_lambda0` does."""
-    full = list(compact_coords)
+    full, nodes = list(compact_coords), compact_nodes(pair)
+    if len(full) != len(nodes):
+        raise ValueError(f"{pair.label} needs {len(nodes)} lambda0 coordinates "
+                         f"(compact nodes {[n + 1 for n in nodes]}), got {len(full)}")
     full.insert(pair.node, 0)  # the compact nodes are the others, in order
     return _validate_lambda0(pair, full)
 
@@ -68,13 +71,12 @@ class KssWeightSystem(NamedTuple):
 
 def _validate_lambda0(pair: HermitianPair, lambda0) -> Weight:
     """Lambda0 as a tuple of ints, after its four rules: one coordinate per
-    node (counted in the message on the compact nodes), zero on the
-    distinguished node, integral and dominant.  A broken rule raises
-    ValueError."""
-    nodes = compact_nodes(pair)
-    if len(lambda0) != pair.root_system.rank:
-        raise ValueError(f"{pair.label} needs {len(nodes)} lambda0 coordinates "
-                         f"(compact nodes {[n + 1 for n in nodes]}), got {len(lambda0) - 1}")
+    node, zero on the distinguished node, integral and dominant.  A broken
+    rule raises ValueError."""
+    nodes, rank = compact_nodes(pair), pair.root_system.rank
+    if len(lambda0) != rank:
+        raise ValueError(f"{pair.label} needs {rank} lambda0 coordinates (one per node, "
+                         f"zero at node {pair.node + 1}), got {len(lambda0)}")
     if lambda0[pair.node] != 0:
         raise ValueError("lambda0 must vanish on the distinguished coroot")
     for i in nodes:

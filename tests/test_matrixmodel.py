@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from hdt.matrixmodel import (
+    DISC_ORDER,
     FD_STEP,
     BlockMatrixElement,
     OutsideCellError,
     cayley_verify,
+    disc_order,
     disc_rule,
     eta,
     expm,
@@ -96,6 +98,26 @@ def test_outside_cell_error():
     assert abs(z_bad[0, 0]) > 1
     with pytest.raises(OutsideCellError):
         hc_factorize(g, z_bad)
+
+
+def test_near_singular_block_is_refused_relative_to_scale():
+    # C z + D = D = u diag(1, sigma) v with z = 0, in a stack of three whose
+    # largest entry sets scale = 4; the refusal threshold is 1e-13 scale
+    rng = np.random.default_rng(41)
+    u, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))
+    z = np.zeros((2, 2), complex)
+
+    def stack(sigma):
+        mats = np.stack([np.eye(4, dtype=complex)] * 3)
+        mats[:, 0, 0] = 4.0
+        mats[1, 2:, 2:] = u @ np.diag([1.0, sigma]) @ v
+        return BlockMatrixElement(mats, 2, 2, check=False)
+
+    with pytest.raises(OutsideCellError):
+        hc_factorize(stack(1e-14 * 4.0), z)
+    f = hc_factorize(stack(1e-10 * 4.0), z)
+    assert np.all(np.isfinite(f.y)) and f.residual.shape == (3,)
 
 
 def test_mobius_matches_factorization_and_composes():
@@ -365,11 +387,27 @@ def _disc_elements():
     yield torus_element([1.6], 1, 1)  # |c/d| = tanh 1.6, about 0.92
 
 
+def test_disc_order_bounds():
+    ratios = np.linspace(0.0, 0.99, 100)
+    orders = [disc_order(x) for x in ratios]
+    assert orders == sorted(orders)
+    assert min(orders) == 32 and max(orders) == DISC_ORDER
+    assert disc_order(math.tanh(1.6)) == 256
+
+
+def _ratio(g):
+    return abs(g.C[0, 0] / g.D[0, 0])
+
+
 def test_multiplier_unitarity():
+    # at disc_order(|c/d|) the residual stays within 1e-14 of DISC_ORDER's
     for g in _disc_elements():
         nf, nug = multiplier_unitarity_mc(g, 3, [1.0, 0.2j, -0.1])
         assert nf == pytest.approx(math.pi * (1 / 2 + 0.04 / 6 + 0.01 / 12), rel=1e-15)
         assert abs(nf - nug) / nf <= 1e-12
+        _, nug_n = multiplier_unitarity_mc(g, 3, [1.0, 0.2j, -0.1], n=disc_order(_ratio(g)))
+        assert abs(nf - nug_n) / nf <= 1e-13
+        assert abs(abs(nf - nug_n) - abs(nf - nug)) / nf <= 1e-14
 
 
 def test_measure_invariance():
@@ -377,3 +415,6 @@ def test_measure_invariance():
         ef, eg = measure_invariance_mc(g)
         assert ef == math.pi / 2
         assert abs(ef - eg) / ef <= 1e-12
+        _, eg_n = measure_invariance_mc(g, n=disc_order(_ratio(g)))
+        assert abs(ef - eg_n) / ef <= 1e-13
+        assert abs(abs(ef - eg_n) - abs(ef - eg)) / ef <= 1e-14

@@ -142,6 +142,21 @@ def test_weight_system_rejects_bad_input():
         weight_system(pr, (Fraction(0), Fraction(1), Fraction(0)))  # nonzero on node
 
 
+def test_lambda0_count_names_the_length_given():
+    from hdt.criterion import HighestWeightInput
+
+    pr = pair_by_label("su22")
+    # full-rank Lambda0, as the library takes it
+    with pytest.raises(ValueError) as exc:
+        HighestWeightInput(pr, (0, 0), -5)
+    assert str(exc.value) == ("su22 needs 3 lambda0 coordinates "
+                              "(one per node, zero at node 2), got 2")
+    # compact-node coordinates, as the CLI takes them
+    with pytest.raises(ValueError) as exc:
+        extend_compact_coords(pr, (0,))
+    assert str(exc.value) == "su22 needs 2 lambda0 coordinates (compact nodes [1, 3]), got 1"
+
+
 def test_freudenthal_highest_and_trivial():
     pr = pair_by_label("su23")
     lam0 = compact_fundamental_weights(pr)[0]

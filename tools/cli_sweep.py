@@ -6,7 +6,14 @@
 
 A sweep writes, per call, its argv, exit code, stdout and stderr.  Two sweeps
 of two versions of the code show every output a change alters; `--diff`
-exits 1 when any call differs and 0 when none does.
+exits 1 when any call differs and 0 when none does.  A path ending in `.gz`
+is read and written gzip-compressed.
+
+`tests/golden/cli_sweep.json.gz` is the sweep of the current code, and
+`tests/test_cli_sweep.py` compares a fresh in-process sweep with it.  A
+change that alters an output regenerates it with
+
+    python tools/cli_sweep.py tests/golden/cli_sweep.json.gz
 
 The inputs are read off the CLI itself, so any version with the same
 subcommands can be swept:
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import gzip
 import io
 import json
 import sys
@@ -76,9 +84,21 @@ def sweep(main) -> list[dict]:
     return records
 
 
-def diff(a_path: Path, b_path: Path) -> int:
-    a = {" ".join(r["argv"]): r for r in json.loads(a_path.read_text())}
-    b = {" ".join(r["argv"]): r for r in json.loads(b_path.read_text())}
+def read(path: Path) -> list[dict]:
+    with (gzip.open if path.suffix == ".gz" else open)(path, "rt") as f:
+        return json.load(f)
+
+
+def write(path: Path, records: list[dict]) -> None:
+    text = (json.dumps(records, indent=1) + "\n").encode()
+    # mtime=0 keeps the compressed bytes a function of the records alone
+    path.write_bytes(gzip.compress(text, 9, mtime=0) if path.suffix == ".gz" else text)
+
+
+def diff(a_records: list[dict], b_records: list[dict], a_name="A", b_name="B") -> int:
+    """Print every call whose record differs between two sweeps; return how many."""
+    a = {" ".join(r["argv"]): r for r in a_records}
+    b = {" ".join(r["argv"]): r for r in b_records}
     changed = 0
     for key in list(a) + [k for k in b if k not in a]:
         ra, rb = a.get(key), b.get(key)
@@ -87,17 +107,18 @@ def diff(a_path: Path, b_path: Path) -> int:
         changed += 1
         print(f"== {key}")
         if ra is None or rb is None:
-            print(f"   only in {a_path if rb is None else b_path}")
+            print(f"   only in {a_name if rb is None else b_name}")
             continue
         if ra["exit"] != rb["exit"]:
             print(f"   exit {ra['exit']} -> {rb['exit']}")
         for stream in ("stdout", "stderr"):
             lines = difflib.unified_diff(ra[stream].splitlines(), rb[stream].splitlines(),
-                                         f"{a_path} {stream}", f"{b_path} {stream}", lineterm="", n=1)
+                                         f"{a_name} {stream}", f"{b_name} {stream}",
+                                         lineterm="", n=1)
             for line in lines:
                 print(f"   {line}")
     print(f"{changed} of {len(set(a) | set(b))} calls differ")
-    return 1 if changed else 0
+    return changed
 
 
 def main(argv=None) -> int:
@@ -108,14 +129,14 @@ def main(argv=None) -> int:
     ap.add_argument("out", nargs="?", type=Path, help="where to write the sweep")
     args = ap.parse_args(argv)
     if args.diff:
-        return diff(*args.diff)
+        return 1 if diff(*map(read, args.diff), *args.diff) else 0
     if args.out is None:
         ap.error("give OUT.json, or --diff A.json B.json")
     sys.path.insert(0, str(args.src))
     from hdt.cli import main as hdt_main
 
     records = sweep(hdt_main)
-    args.out.write_text(json.dumps(records, indent=1) + "\n")
+    write(args.out, records)
     print(f"{len(records)} calls written to {args.out}")
     return 0
 
