@@ -1,13 +1,16 @@
 """The strongly-orthogonal-root cascade and the restricted-root invariants.
 
-Greedy descent from the highest noncompact root produces the maximal family
-gamma_1, ..., gamma_r with gamma_j +- gamma_k never a root.  Projecting every
-positive root onto the span of the gammas classifies the restricted roots,
-whose multiplicities (a, b) determine the genus p = (r-1)a + b + 2.
+A greedy step takes the highest remaining noncompact root (largest height,
+then lexicographically largest) and keeps only the candidates strongly
+orthogonal to it; repeated, it produces the maximal family gamma_1, ...,
+gamma_r with gamma_j +- gamma_k never a root.  Projecting every positive
+root onto the span of the gammas classifies the restricted roots, whose
+multiplicities (a, b) determine the genus p = (r-1)a + b + 2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,10 +39,6 @@ class RestrictedData(NamedTuple):
     zero_compact_count: int  # compact positive roots restricting to 0
 
 
-def _dominates(d: Root, c: Root) -> bool:
-    return d != c and all(di >= ci for di, ci in zip(d, c))
-
-
 def _strongly_orthogonal(rs, x: Root, y: Root) -> bool:
     s = tuple(a + b for a, b in zip(x, y))
     d = tuple(a - b for a, b in zip(x, y))
@@ -52,12 +51,8 @@ def strongly_orthogonal_cascade(pair: HermitianPair) -> CascadeResult:
     candidates = list(partition_roots(pair).noncompact_pos)
     chosen: list[Root] = []
     while candidates:
-        maximal = [
-            c for c in candidates if not any(_dominates(d, c) for d in candidates)
-        ]
-        # dominance maximum is unique in these systems; lexicographic max as a
-        # deterministic tie-break regardless
-        gamma = max(maximal)
+        # the highest candidate: largest height, then lexicographically largest
+        gamma = max(candidates, key=lambda c: (sum(c), c))
         chosen.append(gamma)
         # gamma itself passes the +- test (2 gamma and 0 are not roots), so
         # drop it explicitly
@@ -75,6 +70,15 @@ def strongly_orthogonal_cascade(pair: HermitianPair) -> CascadeResult:
     return CascadeResult(pair, gammas)
 
 
+# the nonzero alpha(h_j) a positive root may have, by side (compact or not):
+# gamma_j, gamma_j/2, (gamma_j + gamma_k)/2 noncompact; 0, +-gamma_j/2,
+# +-(gamma_j - gamma_k)/2 compact
+_ALLOWED = {
+    False: {(2,), (1,), (1, 1)},
+    True: {(), (1,), (-1,), (1, -1), (-1, 1)},
+}
+
+
 @lru_cache(maxsize=None)
 def restricted_root_data(pair: HermitianPair) -> RestrictedData:
     """Classify every positive root by its restriction and count multiplicities.
@@ -82,102 +86,42 @@ def restricted_root_data(pair: HermitianPair) -> RestrictedData:
     Noncompact positive roots must restrict to gamma_j (once each, and only
     gamma_j itself does), (gamma_j + gamma_k)/2 with a uniform count a, or
     gamma_j/2 with a uniform count b.  Compact positive roots restrict to 0,
-    +-(gamma_j - gamma_k)/2 (count a) or +-gamma_j/2 (count b).  Any other
-    pattern, or non-uniform counts, is a structural error.
+    +-(gamma_j - gamma_k)/2 (count a) or +-gamma_j/2 (count b).  One pass
+    counts the roots by side and restriction; any other restriction, or any
+    other count, is a structural error.
     """
     cr = strongly_orthogonal_cascade(pair)
     part = partition_roots(pair)
     rs = pair.root_system
     r = cr.r
+    # key: side, and the j with alpha(h_j) != 0, repeated |alpha(h_j)| times
+    counts: Counter[tuple[bool, tuple[int, ...]]] = Counter()
+    for compact, roots in ((False, part.noncompact_pos), (True, part.compact_pos)):
+        for alpha in roots:
+            # c_j = alpha(h_j), twice the restricted coefficient
+            c = tuple(rs.coroot_pairing(alpha, g) for g in cr.gammas)
+            support = [j for j, cj in enumerate(c) if cj]
+            if tuple(c[j] for j in support) not in _ALLOWED[compact]:
+                raise StructuralError(f"{pair.name}: unclassifiable restriction {c} of {alpha}")
+            if 2 in c and alpha != cr.gammas[support[0]]:
+                raise StructuralError(f"{pair.name}: non-cascade root {alpha} restricts to gamma")
+            counts[compact, tuple(j for j in support for _ in range(abs(c[j])))] += 1
 
-    full: dict[int, int] = {}
-    nc_half: dict[int, int] = {}
-    nc_pair: dict[tuple[int, int], int] = {}
-    c_half: dict[int, int] = {}
-    c_pair: dict[tuple[int, int], int] = {}
-    zero_compact = 0
-
-    def pattern(alpha: Root):
-        # c_j = alpha(h_j), twice the restricted coefficient
-        c = tuple(rs.coroot_pairing(alpha, g) for g in cr.gammas)
-        support = [(j, cj) for j, cj in enumerate(c) if cj != 0]
-        if not support:
-            return ("zero",)
-        if len(support) == 1:
-            j, cj = support[0]
-            if cj == 2:
-                return ("full", j)
-            if abs(cj) == 1:
-                return ("half", j, cj)
-        elif len(support) == 2:
-            (j, cj), (k, ck) = support
-            if abs(cj) == 1 and abs(ck) == 1:
-                if cj > 0 and ck > 0:
-                    return ("pair_sum", j, k)
-                if cj * ck < 0:
-                    return ("pair_diff", j, k)
-        raise StructuralError(f"{pair.name}: unclassifiable restriction {c} of {alpha}")
-
-    for alpha in part.noncompact_pos:
-        pat = pattern(alpha)
-        if pat[0] == "full":
-            if alpha != cr.gammas[pat[1]]:
-                raise StructuralError(f"{pair.name}: non-cascade root restricts to gamma")
-            full[pat[1]] = full.get(pat[1], 0) + 1
-        elif pat[0] == "half":
-            if pat[2] != 1:
-                raise StructuralError(f"{pair.name}: noncompact root with negative restriction")
-            nc_half[pat[1]] = nc_half.get(pat[1], 0) + 1
-        elif pat[0] == "pair_sum":
-            key = (pat[1], pat[2])
-            nc_pair[key] = nc_pair.get(key, 0) + 1
-        else:
-            raise StructuralError(f"{pair.name}: noncompact root restricts to {pat}")
-
-    for alpha in part.compact_pos:
-        pat = pattern(alpha)
-        if pat[0] == "zero":
-            zero_compact += 1
-        elif pat[0] == "half":
-            c_half[pat[1]] = c_half.get(pat[1], 0) + 1
-        elif pat[0] == "pair_diff":
-            key = (pat[1], pat[2])
-            c_pair[key] = c_pair.get(key, 0) + 1
-        else:
-            raise StructuralError(f"{pair.name}: compact root restricts to {pat}")
-
-    if sorted(full) != list(range(r)) or any(v != 1 for v in full.values()):
-        raise StructuralError(f"{pair.name}: gamma multiplicities not all 1")
-
-    def uniform(counts: dict, keys: list, what: str) -> int:
-        vals = [counts.get(k, 0) for k in keys]
-        if not vals:
-            return 0
-        if len(set(vals)) != 1:
-            raise StructuralError(f"{pair.name}: non-uniform {what} multiplicities {counts}")
-        return vals[0]
-
-    all_pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
-    a_nc = uniform(nc_pair, all_pairs, "noncompact pair")
-    a_c = uniform(c_pair, all_pairs, "compact pair")
-    b_nc = uniform(nc_half, list(range(r)), "noncompact half")
-    b_c = uniform(c_half, list(range(r)), "compact half")
-    if a_nc != a_c or b_nc != b_c:
+    zero_compact = counts.pop((True, ()), 0)
+    a, b = counts[False, (0, 1)], counts[False, (0,)]
+    expected = Counter({(False, (j, j)): 1 for j in range(r)})
+    for compact in (False, True):
+        expected.update({(compact, (j,)): b for j in range(r)})
+        expected.update({(compact, (j, k)): a for j in range(r) for k in range(j + 1, r)})
+    if counts != expected:
         raise StructuralError(
-            f"{pair.name}: compact/noncompact multiplicities disagree "
-            f"(a: {a_nc}/{a_c}, b: {b_nc}/{b_c})"
+            f"{pair.name}: restricted multiplicities {dict(counts)} are not 1 on each "
+            f"gamma_j, a = {a} on each pair and b = {b} on each gamma_j/2, on both sides"
         )
 
-    a, b = a_nc, b_nc
-    a_defined = r >= 2
     p = (r - 1) * a + b + 2
-    if b > 0:
-        tag = f"BC_{r}"
-    elif r >= 2:
-        tag = f"B_{r}"
-    else:
-        tag = "A_1-degenerate"
-    return RestrictedData(r, a, b, p, tag, a_defined, zero_compact)
+    tag = f"BC_{r}" if b else f"B_{r}" if r >= 2 else "A_1-degenerate"
+    return RestrictedData(r, a, b, p, tag, r >= 2, zero_compact)
 
 
 class RhoReport(NamedTuple):

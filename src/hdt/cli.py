@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
-from .criterion import HighestWeightInput, hc_condition, parse_decimal, reduction_trace
+from .criterion import HighestWeightInput, hc_condition, hc_threshold, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
 from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_ORDER, MIN_EPS, build_integrand,
                        classify_convergence, closed_form_integral, ladder_precheck, not_run)
@@ -64,6 +64,20 @@ def _parse_lambda0(pair, text: str | None):
         return extend_compact_coords(pair, vals)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _parse_lambda(pair, lam0, text: str) -> Fraction:
+    """--lambda as an exact decimal.  The margin threshold - lambda and the
+    smallest exponent one below it print as doubles, so a lambda or Lambda0
+    that puts them beyond the double range is refused."""
+    try:
+        lam = parse_decimal(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if abs(hc_threshold(pair, lam0) - lam) + 1 > sys.float_info.max:
+        raise UsageError("lambda or lambda0 out of range: the margin threshold - lambda "
+                         f"must lie within the double range (about {sys.float_info.max:.2g})")
+    return lam
 
 
 def _get_pair(label: str):
@@ -166,10 +180,7 @@ def cmd_analyze(args) -> int:
 def cmd_criterion(args) -> int:
     pair = _get_pair(args.pair)
     lam0 = _parse_lambda0(pair, args.lambda0)
-    try:
-        lam = parse_decimal(args.lam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    lam = _parse_lambda(pair, lam0, args.lam)
     inp = HighestWeightInput(pair, lam0, lam)
     verdict = hc_condition(inp)
     rd = restricted_root_data(pair)
@@ -208,10 +219,7 @@ def cmd_criterion(args) -> int:
 def cmd_integrate(args) -> int:
     pair = _get_pair(args.pair)
     lam0 = _parse_lambda0(pair, args.lambda0)
-    try:
-        lam = parse_decimal(args.lam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    lam = _parse_lambda(pair, lam0, args.lam)
     try:
         ladder = tuple(float(e) for e in args.eps.split(","))
     except ValueError as exc:

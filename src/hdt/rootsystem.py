@@ -197,13 +197,8 @@ class RootSystem:
     def is_root(self, v: Sequence) -> bool:
         if len(v) != self.rank:
             raise ValueError("dimension mismatch")
-        try:
-            t = tuple(int(c) for c in v)
-        except (TypeError, ValueError):
-            return False
-        if any(ti != ci for ti, ci in zip(t, v)):
-            return False
-        return t in self._coroots
+        # a number equal to an int hashes and compares as that int
+        return tuple(v) in self._coroots
 
     def fundamental_weight(self, i: int) -> tuple[Fraction, ...]:
         """The i-th fundamental weight in simple-root coordinates."""

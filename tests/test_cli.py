@@ -112,6 +112,13 @@ def test_exit_codes_matrix():
         res = run_cli("integrate", "su11", "--lambda", "-3", *bad)
         assert res.returncode == 2, bad
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    # a lambda or lambda0 that puts the margin threshold - lambda beyond the double range
+    big = "1" + "0" * 399
+    for cmd in ("criterion", "integrate"):
+        for bad in ((f"--lambda={big}",), (f"--lambda=-{big}",), ("--lambda=-5", f"--lambda0={big},0")):
+            res = run_cli(cmd, "su22", *bad)
+            assert res.returncode == 2, (cmd, bad)
+            assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
     # a bad --tol-scale, or a bad seed in any scope, is refused before any check runs
     bad_verify = [(("numeric", "--fast", "--tol-scale", v), None) for v in ("nan", "inf", "0", "-1")]
     bad_verify += [(("numeric", "--fast", "--seed", "-1"), None),

@@ -87,6 +87,11 @@ def test_is_root():
     assert rs.is_root((1, 1))
     assert not rs.is_root((2, 0))  # reduced system
     assert not rs.is_root((0, 0))
+    # entries equal to an int are that int; any other entry is not a root's
+    assert rs.is_root((Fraction(2, 2), 1.0))
+    assert not rs.is_root((Fraction(1, 2), 1))
+    assert not rs.is_root((1.5, 0))
+    assert not rs.is_root(("1", 1))
     with pytest.raises(ValueError):
         rs.is_root((1, 0, 0))
 
