@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .hermitian import HermitianPair, partition_roots
@@ -96,10 +97,12 @@ def restricted_root_data(pair: HermitianPair) -> RestrictedData:
     r = cr.r
     # key: side, and the j with alpha(h_j) != 0, repeated |alpha(h_j)| times
     counts: Counter[tuple[bool, tuple[int, ...]]] = Counter()
+    coroots = [rs.coroot(g) for g in cr.gammas]
     for compact, roots in ((False, part.noncompact_pos), (True, part.compact_pos)):
         for alpha in roots:
             # c_j = alpha(h_j), twice the restricted coefficient
-            c = tuple(rs.coroot_pairing(alpha, g) for g in cr.gammas)
+            w = rs.weight_coords(alpha)
+            c = tuple(sum(map(mul, w, h)) for h in coroots)
             support = [j for j, cj in enumerate(c) if cj]
             if tuple(c[j] for j in support) not in _ALLOWED[compact]:
                 raise StructuralError(f"{pair.name}: unclassifiable restriction {c} of {alpha}")

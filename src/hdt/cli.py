@@ -20,8 +20,8 @@ from fractions import Fraction
 from .cascade import restricted_root_data, strongly_orthogonal_cascade, verify_rho_identities
 from .criterion import HighestWeightInput, hc_condition, hc_threshold, parse_decimal, reduction_trace
 from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partition_roots
-from .integral import (DEFAULT_LADDER, DEFAULT_ORDER, MAX_ORDER, MIN_EPS, build_integrand,
-                       classify_convergence, closed_form_integral, ladder_precheck, not_run)
+from .integral import (DEFAULT_LADDER, MIN_EPS, build_integrand, classify_convergence,
+                       closed_form_integral, int_text, ladder_precheck, not_run)
 from .suite import run_suite
 from .weights import extend_compact_coords, weight_system, weyl_dimension
 
@@ -33,6 +33,7 @@ EXIT_INTERNAL = 4
 EXIT_OUTPUT_CLOSED = 141
 
 _DISC_NOTE = "disc normalization (k-1)/pi applied, k = -lambda"
+_RANGE_NOTE = "formal dimension scalar beyond the double range"
 
 
 def fmt(x) -> str:
@@ -230,25 +231,29 @@ def cmd_integrate(args) -> int:
         raise UsageError("eps ladder needs at least three values")
     if len(set(ladder)) != len(ladder):
         raise UsageError("eps values must be distinct")
-    if not 1 <= args.order <= MAX_ORDER:
-        raise UsageError(f"order must be in [1, {MAX_ORDER}]")
     rd = restricted_root_data(pair)
     # the verdict and the smallest exponent -lambda - p - Lambda0(h_r) are the
     # criterion's; the weights only run the eps ladder, if `ladder_precheck` allows
     verdict = hc_condition(HighestWeightInput(pair, lam0, lam))
     classification = "convergent" if verdict.exists else "divergent"
     min_exponent = float(verdict.threshold - lam - 1)
-    scalar = closed_form_integral(pair, lam0, lam) if verdict.exists else None
+    full = scalar = closed_form_integral(pair, lam0, lam) if verdict.exists else None
+    if full is not None and rd.r == 1:
+        # k - 1 beyond the double range puts the product beyond it too
+        scalar = full * ((-float(lam) - 1.0) / math.pi) if -lam < sys.float_info.max else math.inf
+    if scalar is not None and not 0.0 < scalar < math.inf:
+        full = scalar = None  # the value is beyond the double range
     if reason := ladder_precheck(pair, lam0):
         ws, report = None, not_run(reason)
     else:
         ws = weight_system(pair, lam0)
         spec = build_integrand(pair, ws, lam, with_multiplicities=True)
-        report = classify_convergence(spec, ladder, args.order, full=scalar)
-    note = report.note
-    if scalar is not None and rd.r == 1:
-        scalar *= (-float(lam) - 1.0) / math.pi
-        note = "; ".join(filter(None, (note, _DISC_NOTE)))
+        report = classify_convergence(spec, ladder, full=full)
+    if scalar is None:
+        extra = _RANGE_NOTE if verdict.exists else None
+    else:
+        extra = _DISC_NOTE if rd.r == 1 else None
+    note = "; ".join(filter(None, (report.note, extra))) or None
 
     if args.output == "json":
         data = {
@@ -270,7 +275,7 @@ def cmd_integrate(args) -> int:
 
     print(f"pair {pair.label}  lambda {lam}  rank r = {rd.r}  genus p = {rd.p}")
     size = (f"weights in trace: {len(ws.weights)}" if ws
-            else f"dim tau: {weyl_dimension(pair, lam0)}")
+            else f"dim tau: {int_text(weyl_dimension(pair, lam0))}")
     print(f"{size}  min exponent: {fmt(min_exponent)}")
     if report.empirical_classification == "not-run":
         print(report.note)
@@ -285,6 +290,8 @@ def cmd_integrate(args) -> int:
     if scalar is not None:
         # the not-run reason, if any, is printed above
         print(f"formal dimension scalar: {fmt(scalar)}" + (f"  [{_DISC_NOTE}]" if rd.r == 1 else ""))
+    elif verdict.exists:
+        print(_RANGE_NOTE)
     return EXIT_OK
 
 
@@ -363,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--lambda0", default=None)
     p.add_argument("--eps", default=",".join(f"{e:g}" for e in DEFAULT_LADDER))
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                   help=f"Gauss-Legendre order per panel, at most {MAX_ORDER} "
-                   "(default %(default)s)")
     p.add_argument("--output", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_integrate)
 

@@ -8,19 +8,19 @@ truncations, run while dim tau is within MAX_TRACE_DIM and the rank within
 MAX_QUADRATURE_RANK, corroborates it numerically, and its exponent guides
 the threshold search.  A convergent integral's value is Harish-Chandra's
 formal-degree product, in closed form.
-Quadrature is tensorized Gauss-Legendre on panels graded geometrically
-toward the singular face, with the ordering handled by nested cumulative
-integration (exact on each panel for polynomial degree below the order).
-The graded panels of every eps are a prefix of those of a smaller one, so a
-whole ladder is one sweep: the shared panels once, then one tail panel per
-eps.  Only the quadrature functions import numpy, when first called, so
-importing this module (as every CLI command does) loads no numpy.
+The ladder is exact: in v = 1 - x^2 the integrand is a sum of monomials
+times powers v_j^E_j, and the nested one-variable integrals of
+v^P (ln v)^k have closed forms, so a whole ladder is one table of integer
+coefficients of delta^P (ln delta)^k, delta = 1 - (1-eps)^2, built once and
+evaluated at each rung in `decimal` to 20 significant digits, however much
+the sum cancels.  The module uses the standard library alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
+from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -41,8 +41,8 @@ from .weights import (
 
 
 class IntegralOverflowError(ArithmeticError):
-    """Intermediate values left the double range; exponents too negative
-    for the chosen truncation."""
+    """A truncated value left the double range; exponents too extreme for
+    the chosen truncation."""
 
 
 class ConfigurationError(RuntimeError):
@@ -51,18 +51,16 @@ class ConfigurationError(RuntimeError):
 
 
 DEFAULT_LADDER = (1e-2, 1e-3, 1e-4, 1e-5)
-DEFAULT_ORDER = 24  # Gauss-Legendre nodes per panel
-# building the cumulative matrix costs about order^3.7: 0.4 s at 128,
-# about 20 minutes at 1000
-MAX_ORDER = 128
-# the threshold search's probes run a lower order: they need the increment
-# exponent's sign and first digits, not the values' last digits
-PROBE_ORDER = 20
 MAX_QUADRATURE_RANK = 4
 _RANK_CAP = f"rank above quadrature cap ({MAX_QUADRATURE_RANK})"
 # the largest trace (dim tau_Lambda0, by the Weyl formula) whose weights are
 # enumerated for the eps ladder; the benchmark's largest is 4 096
 MAX_TRACE_DIM = 10_000
+# significant digits every rung keeps after its cancellation
+_RUNG_DIGITS = 20
+# the working precision at which a rung stops rising: far above what any
+# cancellation of a positive integral asks for
+_MAX_PREC = 10_000
 
 
 class IntegralSpec(NamedTuple):
@@ -81,46 +79,14 @@ class ConvergenceReport(NamedTuple):
     note: str | None  # why the empirical part did not run
 
 
-# -- quadrature machinery ---------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _gauss(order: int):
-    import numpy as np
-
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-@lru_cache(maxsize=None)
-def _cumulative_matrix(order: int):
-    """C[i,j] = integral of the j-th Lagrange basis polynomial (at the
-    Gauss nodes) from -1 to node i; exact for degree < order."""
-    import numpy as np
-
-    x, w = _gauss(order)
-    # row i of t is the same rule mapped onto [-1, x_i], exact for the
-    # degree-(order-1) basis
-    half = (x + 1.0) / 2.0
-    t = -1.0 + half[:, None] * (x + 1.0)
-    c = np.empty((order, order))
-    for j in range(order):
-        lj = np.ones_like(t)
-        for k in range(order):
-            if k != j:
-                lj *= (t - x[k]) / (x[j] - x[k])
-        # one dot per entry: a batched product would round differently, and
-        # the cancelling ladders are sensitive to the last ulp
-        for i in range(order):
-            c[i, j] = half[i] * np.dot(w, lj[i])
-    return c
+# -- the eps ladder in closed form ---------------------------------------------
 
 
 def _panels(eps: float) -> list[tuple[float, float]]:
     """Partition of [0, 1-eps] halving geometrically toward the singular face.
 
-    Every panel but the last is [1 - 2^-(i-1), 1 - 2^-i] (from 0 for i = 1),
-    so the graded panels of a larger eps are a prefix of a smaller one's.
+    Every panel but the last is [1 - 2^-(i-1), 1 - 2^-i] (from 0 for i = 1).
+    The ladder needs no panels; bench/spans.py counts them as a size.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -134,95 +100,188 @@ def _panels(eps: float) -> list[tuple[float, float]]:
 
 
 @lru_cache(maxsize=None)
-def _p_monomials(r: int, a: int, b: int):
-    """Expansion of P(x) into monomials: coefficient and per-coordinate power."""
-    import numpy as np
-
-    pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
-    n_terms = (a + 1) ** len(pairs)
-    if n_terms > 200_000:
+def _p_monomials(r: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """prod_j (1-v_j)^b prod_{j<k} (v_j-v_k)^a, the restricted-root
+    polynomial in v = 1 - x^2, as monomials: coefficients and per-coordinate
+    powers."""
+    if (a + 1) ** (r * (r - 1) // 2) > 200_000:
         raise ValueError("restricted-root polynomial expansion too large")
-    acc: dict[tuple[int, ...], int] = {}
-    for choice in itertools.product(range(a + 1), repeat=len(pairs)):
-        coeff = 1
-        powers = [2 * b + 1] * r
-        for (j, k), t in zip(pairs, choice):
-            coeff *= comb(a, t) * (-1) ** (a - t)
-            powers[k] += 2 * t
-            powers[j] += 2 * (a - t)
-        key = tuple(powers)
-        acc[key] = acc.get(key, 0) + coeff
-    items = [(c, p) for p, c in sorted(acc.items()) if c != 0]
-    coeffs = np.array([c for c, _ in items], dtype=float)
-    powers = np.array([p for _, p in items], dtype=int)
-    return coeffs, powers
+    factors = [{(j,) * t: comb(b, t) * (-1) ** t for t in range(b + 1)} for j in range(r)]
+    factors += [{(j,) * t + (k,) * (a - t): comb(a, t) * (-1) ** (a - t) for t in range(a + 1)}
+                for j in range(r) for k in range(j + 1, r)]
+    poly = {(0,) * r: 1}
+    for factor in factors:
+        product: dict[tuple[int, ...], int] = {}
+        for powers, c in poly.items():
+            for coords, f in factor.items():
+                key = list(powers)
+                for j in coords:
+                    key[j] += 1
+                key = tuple(key)
+                product[key] = product.get(key, 0) + c * f
+        poly = {p: c for p, c in product.items() if c}
+    items = sorted(poly.items())
+    return tuple(c for _, c in items), tuple(p for p, _ in items)
 
 
-def _truncations(spec: IntegralSpec, eps_values: tuple[float, ...], order: int) -> list[float]:
-    """Truncated integral at every eps in eps_values, each on its own panels
-    of _panels(eps) at the given Gauss order.
+def _ladder_table(spec: IntegralSpec) -> tuple[dict[tuple[int, int], int], int, int]:
+    """The truncated integral as a function of delta = 1 - (1-eps)^2: the
+    sum of (n / q) delta^(P/D) (ln delta)^k over the table {(P, k): n}.
 
-    The graded panels of every eps are a prefix of those of the smallest,
-    so one sweep integrates them once and then each eps's own tail panel,
-    which starts from the shared running totals and carries its own
-    inner-coordinate values through the nested integration.  Arrays are
-    panel-major, (panel, monomial, node): each batched product then runs
-    the same BLAS call per panel as a panel-by-panel loop, so every rung
-    rounds exactly as a sweep over its eps alone, which matters for the
-    ladders whose monomial sum cancels.
+    In v = 1 - x^2 the chamber is delta <= v_r <= ... <= v_1 <= 1 and the
+    integrand is 2^-r sum_rows mult prod_j v_j^E_j times _p_monomials.
+    Each v_j is integrated over [v_(j+1), 1] in turn, with the closed forms,
+    for d = P + beta + 1,
+        int_x^1 u^(d-1) (ln u)^k du
+            = (-1)^k k!/d^(k+1) (1 - x^d sum_(i<=k) (-d ln x)^i / i!)   (d != 0)
+            = -(ln x)^(k+1) / (k+1)                                     (d = 0).
+    The map is linear, so the terms of all rows and monomials that share
+    the exponents still to integrate are merged after every step.  Every
+    exponent is scaled by D, the lcm of their denominators, so that P is an
+    int; the numerators are ints over the one denominator q, with 2^r.  As
+    eps -> 0 a convergent integral tends to n(0, 0) / q.
     """
-    import numpy as np
-
-    ref_x, ref_w = _gauss(order)
-    cmat_t = _cumulative_matrix(order).T
-    partitions = [_panels(e) for e in eps_values]
-    shared = max(partitions, key=len)[:-1]
-    n_shared = len(shared)
-    starts = [len(p) - 1 for p in partitions]  # shared panels below each tail
-    panels = shared + [p[-1] for p in partitions]
-    halves = np.array([(hi - lo) / 2.0 for lo, hi in panels])
-    x = np.array([lo + half * (ref_x + 1.0) for (lo, _), half in zip(panels, halves)])
-    one_minus_sq = (1.0 - x * x)[:, None, :]
-    coeffs, powers = _p_monomials(spec.r, spec.a, spec.b)
-    distinct, index = np.unique(powers, return_inverse=True)
-    index = index.reshape(powers.shape)
-    xpow = np.stack([x ** int(q) for q in distinct], axis=1)  # (panel, power, node)
-
-    totals = [0.0] * len(eps_values)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for mult, exps in zip(spec.multiplicities, np.array(spec.exponents, dtype=float)):
-            inner = None
-            for j in range(spec.r):
-                vals = (xpow * one_minus_sq ** exps[j])[:, index[:, j]]
-                if inner is not None:
-                    vals *= inner
-                per_panel = vals @ ref_w
-                per_panel *= halves[:, None]
-                # running totals at the start of each shared panel, and at its end
-                before = np.zeros((n_shared + 1, len(coeffs)))
-                np.cumsum(per_panel[:n_shared], axis=0, out=before[1:])
-                tail_start = before[starts]
-                if j == spec.r - 1:
-                    break
-                inner = vals @ cmat_t
-                inner *= halves[:, None, None]
-                inner[1:n_shared] += before[1:n_shared, :, None]
-                inner[n_shared:] += tail_start[:, :, None]
-            for i, last in enumerate(tail_start + per_panel[n_shared:]):
-                totals[i] += mult * float(coeffs @ last)
-    for e, total in zip(eps_values, totals):
-        if not math.isfinite(total):
-            raise IntegralOverflowError(
-                f"non-finite value at eps = {e}; exponents too negative"
-            )
-    return totals
+    r = spec.r
+    coeffs, powers = _p_monomials(r, spec.a, spec.b)
+    rows = [[e.as_integer_ratio() for e in row] for row in spec.exponents]  # exact for floats too
+    big_d = math.lcm(*(den for row in rows for _, den in row))
+    # terms still to integrate: scaled beta + 1 per remaining coordinate ->
+    # {(P, k): numerator} of the part already integrated
+    level: dict[tuple[int, ...], int] = {}
+    for mult, row in zip(spec.multiplicities, rows):
+        shift = [num * (big_d // den) + big_d for num, den in row]
+        for c, p in zip(coeffs, powers):
+            key = tuple(s + big_d * m for s, m in zip(shift, p))
+            level[key] = level.get(key, 0) + mult * c
+    states = {key: {(0, 0): n} for key, n in level.items() if n}
+    q = 1
+    for _ in range(r):
+        den = math.lcm(*{(P + key[0]) ** (k + 1) if P + key[0] else k + 1
+                         for key, terms in states.items() for P, k in terms})
+        merged: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for key, terms in states.items():
+            beta1, out = key[0], merged.setdefault(key[1:], {})
+            for (P, k), n in terms.items():
+                d = P + beta1
+                if d == 0:
+                    out[0, k + 1] = out.get((0, k + 1), 0) - n * (den // (k + 1))
+                    continue
+                # n (-1)^k k! (D/d)^(k+1) over den, then the x^d terms
+                base = n * (-1) ** k * math.factorial(k) * big_d ** (k + 1) * (den // d ** (k + 1))
+                out[0, 0] = out.get((0, 0), 0) + base
+                term = -base
+                for i in range(k + 1):
+                    out[d, i] = out.get((d, i), 0) + term
+                    term = -term * d // (big_d * (i + 1))
+        q *= den
+        g = q
+        for terms in merged.values():
+            for n in terms.values():
+                g = math.gcd(g, n)
+        states = {key: {pk: n // g for pk, n in terms.items() if n}
+                  for key, terms in merged.items()}
+        q //= g
+    return states.get((), {}), q << r, big_d
 
 
-def integrate(spec: IntegralSpec, eps: float, order: int = DEFAULT_ORDER) -> float:
-    """The integral truncated at 1 - eps, at the given Gauss order per panel."""
-    return _truncations(spec, (eps,), order)[0]
+@lru_cache(maxsize=64)
+def _delta_and_log(eps: float, prec: int) -> tuple[Decimal, Decimal]:
+    """delta = 1 - (1-eps)^2 and ln delta, to prec digits."""
+    with localcontext(_context(prec)):
+        e = Decimal(eps)  # the double's exact value
+        delta = 2 * e - e * e
+        return delta, delta.ln()
 
 
+@lru_cache(maxsize=256)
+def _fractional_power(eps: float, s: int, big_d: int, prec: int) -> Decimal:
+    """delta^(s/D) for 0 < s < D, to prec digits."""
+    log = _delta_and_log(eps, prec)[1]
+    with localcontext(_context(prec)):
+        return (log * s / big_d).exp()
+
+
+@lru_cache(maxsize=64)
+def _context(prec: int) -> Context:
+    # an overflow is trapped; an underflow rounds to zero
+    return Context(prec=prec, traps=[Overflow, InvalidOperation, DivisionByZero])
+
+
+def _rung(table: dict[tuple[int, int], int], q: int, big_d: int, eps: float) -> float:
+    """The table at one eps, to _RUNG_DIGITS significant digits.
+
+    delta^(P/D) is delta^m delta^(s/D) with P = mD + s, 0 <= s < D: an
+    integer power, and one exp per residue s (every exponent of a built
+    integrand has lambda's fractional part, so its table has at most r + 1
+    residues).  The working precision is _RUNG_DIGITS plus the digits the
+    sum cancels, estimated in doubles, plus guard digits for the integer
+    powers; it rises until the sum shows that it sufficed.
+    """
+    beyond = IntegralOverflowError(f"truncated value at eps = {eps} beyond the double range")
+    ln_f = math.log(eps * (2.0 - eps))
+    log_ln = math.log(-ln_f)
+    scaled, signs = [], []
+    for (p, k), n in table.items():
+        try:
+            scaled.append(math.log(abs(n)) + p / big_d * ln_f + k * log_ln)
+        except OverflowError:  # |P/D| beyond the double range
+            scaled.append(-math.inf if p > 0 else math.inf)
+        signs.append(-1.0 if (n < 0) != (k % 2 == 1) else 1.0)
+    top = max(scaled, default=0.0)
+    if top == math.inf:
+        raise beyond
+    size = sum(math.exp(s - top) for s in scaled)
+    total = abs(sum(g * math.exp(s - top) for g, s in zip(signs, scaled)))
+    # a sum of doubles resolves a cancellation of up to about 15 digits
+    lost = math.ceil(math.log10(size / total)) if total > 1e-15 * size else 17
+    top_m = max((abs(p // big_d) for p, _ in table), default=1)
+    guard = math.ceil(top_m.bit_length() * math.log10(2)) + 3
+    max_k = max((k for _, k in table), default=0)
+    while True:
+        # in steps of ten digits, so that probes share the cached logarithms
+        prec = -(-(_RUNG_DIGITS + guard + lost) // 10) * 10
+        delta, log = _delta_and_log(eps, prec)
+        try:
+            with localcontext(_context(prec)):
+                log_powers = [Decimal(1)]
+                for _ in range(max_k):
+                    log_powers.append(log_powers[-1] * log)
+                powers: dict[int, Decimal] = {}
+                value = size = Decimal(0)
+                for (p, k), n in table.items():
+                    power = powers.get(p)
+                    if power is None:
+                        m, s = divmod(p, big_d)
+                        power = delta ** m
+                        if s:
+                            power *= _fractional_power(eps, s, big_d, prec)
+                        powers[p] = power
+                    term = n * power * log_powers[k]
+                    value += term
+                    size += abs(term)
+        except Overflow:
+            raise beyond from None
+        # digits lost to cancellation, rounded up
+        cancelled = size.adjusted() - value.adjusted() + 1 if value else 2 * prec
+        if cancelled <= prec - guard - _RUNG_DIGITS or prec > _MAX_PREC:
+            break
+        lost = cancelled
+    with localcontext(_context(prec)):
+        result = float(value / q)
+    if not 0.0 < abs(result) < math.inf:
+        raise beyond
+    return result
+
+
+def _truncations(spec: IntegralSpec, eps_values: tuple[float, ...]) -> list[float]:
+    """Truncated integral at every eps in eps_values, from one table."""
+    table, q, big_d = _ladder_table(spec)
+    return [_rung(table, q, big_d, e) for e in eps_values]
+
+
+def integrate(spec: IntegralSpec, eps: float) -> float:
+    """The integral truncated at 1 - eps."""
+    return _truncations(spec, (eps,))[0]
 # -- integrand construction --------------------------------------------------
 
 
@@ -267,10 +326,11 @@ _INCREMENT_FLOOR = 1e-12
 # this (3 on DEFAULT_LADDER); a larger |delta| is the converged sentinel or
 # the noise of a cancelling ladder, not a measured distance to the threshold
 _RESOLVED_EXPONENT = math.log10(_INCREMENT_FLOOR) / math.log10(sorted(DEFAULT_LADDER)[1])
-# truncations of a positive integrand never decrease as eps shrinks; a rung
-# that falls by more than quadrature noise (up to 4.7e-10 relative on the
-# e7vii ladders that converge) means the monomial sum has cancelled its digits
-_MAX_FALL = 1e-6
+# truncations of a positive integrand never decrease as eps shrinks, and none
+# exceeds the full integral; each rung is exact to its last double, and the
+# full integral (from lgamma) to a few ulps (4.1e-15 relative at worst on the
+# rank <= 4 catalog), so a larger step against either order is a fault
+_MAX_FALL = 1e-12
 
 
 def _increment_exponent(values: list[float]) -> float:
@@ -299,34 +359,42 @@ def not_run(reason: str) -> ConvergenceReport:
                              f"{reason}; analytic classification only")
 
 
+def int_text(n: int) -> str:
+    """n in digits, or in scientific notation past Python's int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{Decimal(n):.6e}"
+
+
 def ladder_precheck(pair: HermitianPair, lambda0: Weight) -> str | None:
     """Why the eps ladder of tau_lambda0 will not run (trace budget, then rank
     cap), or None; decided before any weight is enumerated."""
     dim = weyl_dimension(pair, lambda0)
     if dim > MAX_TRACE_DIM:
-        return f"dim tau {dim} above the trace budget ({MAX_TRACE_DIM})"
+        return f"dim tau {int_text(dim)} above the trace budget ({MAX_TRACE_DIM})"
     if restricted_root_data(pair).r > MAX_QUADRATURE_RANK:
         return _RANK_CAP
     return None
 
 
 def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
-                         order: int = DEFAULT_ORDER,
                          full: float | None = None) -> ConvergenceReport:
-    """The eps-ladder of truncated integrals at the given Gauss order, and
-    the empirical verdict read off it.
+    """The eps-ladder of truncated integrals, and the empirical verdict read
+    off it.
 
     The verdict comes from the increment-ratio exponent alone
     (boundary-indeterminate inside a small band, not guessed); whether the
     integral converges is the criterion's, not this report's.  Above the rank
-    cap, or when the ladder overflows, cancels, falls or rises above `full`
-    (the full integral, when known), it is "not-run" and the note says why.
+    cap, or when a rung leaves the double range, is not positive, falls as
+    eps shrinks or rises above `full` (the full integral, when known), it is
+    "not-run" and the note says why.
     """
     if spec.r > MAX_QUADRATURE_RANK:
         return not_run(_RANK_CAP)
     ladder = tuple(sorted(eps_ladder, reverse=True))
     try:
-        values = _truncations(spec, ladder, order)
+        values = _truncations(spec, ladder)
     except IntegralOverflowError as exc:
         return not_run(str(exc))
     positive = all(v > 0 for v in values)
@@ -334,9 +402,8 @@ def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEF
     # no truncation of a positive integrand exceeds the full integral
     above = full is not None and any(v - full > _MAX_FALL * full for v in values)
     if not positive or falls or above:
-        # cancellation in the monomial sum has eaten the significant digits
         return not_run(
-            f"quadrature lost precision: truncated values "
+            f"inconsistent eps ladder: truncated values "
             f"{', '.join(f'{v:.3g}' for v in values)} "
             + ("are not all finite and positive" if not positive
                else "fall as eps shrinks" if falls else f"exceed the full integral {full:.3g}")
@@ -361,6 +428,7 @@ def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEF
 
 # the documented floor of the --eps range; no sweep runs below the ladder
 MIN_EPS = 1e-12
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def closed_form_integral(pair: HermitianPair, lambda0: Weight, lam) -> float:
@@ -369,6 +437,7 @@ def closed_form_integral(pair: HermitianPair, lambda0: Weight, lam) -> float:
     volume, S(r,a,b) dim tau_Lambda0 prod_beta (rho - p Lambda_1)(h_beta) /
     (Lambda + rho)(h_beta) over noncompact positive beta, where S(r,a,b) is
     the integral at Lambda0 = 0, lambda = -p (every exponent E = 0).
+    math.inf when the value lies above the double range.
     """
     rd = restricted_root_data(pair)
     here = hc_condition_original(HighestWeightInput(pair, lambda0, lam))
@@ -380,7 +449,12 @@ def closed_form_integral(pair: HermitianPair, lambda0: Weight, lam) -> float:
     r, b, g = rd.r, rd.b, rd.a / 2
     log_s = sum(math.lgamma(b + 1 + j * g) + math.lgamma(1 + j * g) + math.lgamma(1 + (j + 1) * g)
                 - math.lgamma(b + 2 + (r + j - 1) * g) - math.lgamma(1 + g) for j in range(r))
-    return math.exp(log_s - math.lgamma(r + 1) - r * math.log(2)) * float(ratio)
+    s = math.exp(log_s - math.lgamma(r + 1) - r * math.log(2))
+    try:
+        return s * float(ratio)
+    except OverflowError:  # the ratio alone is beyond the double range
+        log_value = math.log(s) + math.log(ratio.numerator) - math.log(ratio.denominator)
+        return math.exp(log_value) if log_value < _LOG_MAX else math.inf
 
 
 # -- empirical threshold ------------------------------------------------------
@@ -395,7 +469,7 @@ def empirical_threshold(
 
     The criterion is deliberately not consulted; each probe
     builds the unit-weight spec and reads the increment exponent d of its
-    DEFAULT_LADDER at PROBE_ORDER, convergent when d > 0.  The bracket starts
+    DEFAULT_LADDER, convergent when d > 0.  The bracket starts
     at lambda = -2 and doubles downward (or, if -2 converges, steps up
     through 0, 4, 8, ...).  Inside it, a resolved d (|d| below
     _RESOLVED_EXPONENT) is read as the distance lambda_c - lambda, since the
@@ -410,7 +484,7 @@ def empirical_threshold(
     Raises ValueError unless tol is finite and positive, or when the bracket
     reaches the spacing of doubles before it is tol wide, and ConfigurationError
     before any probe when `ladder_precheck` refuses, if no bracket is found in
-    8 steps, or if a probe's ladder did not run (overflow, lost precision).
+    8 steps, or if a probe's ladder did not run (a rung beyond the double range).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -419,7 +493,7 @@ def empirical_threshold(
     ws = weight_system(pair, lambda0)
 
     def increment_exponent(lam: float) -> float:
-        rep = classify_convergence(build_integrand(pair, ws, lam), DEFAULT_LADDER, PROBE_ORDER)
+        rep = classify_convergence(build_integrand(pair, ws, lam), DEFAULT_LADDER)
         if rep.empirical_classification == "not-run":
             raise ConfigurationError(f"eps ladder not run at lambda = {lam}: {rep.note}")
         return rep.increment_exponent

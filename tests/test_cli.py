@@ -1,6 +1,7 @@
 """CLI contract: golden files, JSON schema, exit codes, decimal parsing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
+from hdt.criterion import hc_threshold
+from hdt.hermitian import pair_by_label
+from hdt.weights import extend_compact_coords
+
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-JSON constant {constant}")
 
 
 def run_cli(*args, env_extra=None):
@@ -104,8 +113,8 @@ def test_exit_codes_matrix():
         res = run_cli(*bad)
         assert res.returncode == 2, bad
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
-    # eps = 1e-12 is the documented floor of the --eps range; no sweep needs it
-    # above MAX_ORDER the cumulative matrix alone would run for minutes
+    # eps = 1e-12 is the documented floor of the --eps range; the ladder has
+    # no quadrature order, so --order is an unknown option
     for bad in (("--eps", "1e-2,1e-3"), ("--eps", "1e-2,1e-2,1e-2"), ("--order", "0"),
                 ("--order", "129"), ("--order", "1000000"),
                 ("--eps", "1e-14,1e-15,1e-16"), ("--eps", "1e-12,1e-13,1e-14")):
@@ -119,6 +128,26 @@ def test_exit_codes_matrix():
             res = run_cli(cmd, "su22", *bad)
             assert res.returncode == 2, (cmd, bad)
             assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+    # 0: a Lambda0 whose formal dimension scalar (or dim tau's digits) leaves the
+    # double range, one below the threshold: strict JSON, the scalar null when
+    # it lies beyond the range, and the same inputs as tables
+    for label, lam0, in_range in (("su14", "10^300,0,0", False),
+                                  ("e3iii", "0,0,10^300,0,0", True),
+                                  ("su12", "10^400", False)):
+        coords = [10 ** int(c[3:]) if c.startswith("10^") else int(c) for c in lam0.split(",")]
+        pr = pair_by_label(label)
+        lam = hc_threshold(pr, extend_compact_coords(pr, coords)) - 1
+        argv = ("integrate", label, f"--lambda={lam}", "--lambda0=" + ",".join(map(str, coords)))
+        res = run_cli(*argv, "--output", "json")
+        assert (res.returncode, res.stderr) == (0, ""), (label, res.stderr)
+        data = json.loads(res.stdout, parse_constant=_reject_constant)
+        assert data["classification"] == "convergent" and data["min_exponent"] == 0.0
+        scalar = data["formal_dimension_scalar"]
+        assert (scalar is not None) == in_range, (label, scalar)
+        assert scalar is None or 0.0 < scalar < math.inf
+        assert ("formal dimension scalar beyond the double range" in data["scalar_note"]) != in_range
+        res = run_cli(*argv)
+        assert (res.returncode, res.stderr) == (0, ""), (label, res.stderr)
     # a bad --tol-scale, or a bad seed in any scope, is refused before any check runs
     bad_verify = [(("numeric", "--fast", "--tol-scale", v), None) for v in ("nan", "inf", "0", "-1")]
     bad_verify += [(("numeric", "--fast", "--seed", "-1"), None),
@@ -189,8 +218,8 @@ def test_cli_imports_only_numpy_and_the_standard_library():
 
 
 def test_exact_commands_load_neither_numpy_nor_the_matrix_model():
-    # the structure commands compute in exact arithmetic; only integrate and
-    # the numeric suite pay for numpy
+    # the structure commands, the eps ladder and the threshold search compute
+    # in exact and decimal arithmetic; only the numeric suite pays for numpy
     code = (
         "import contextlib, io, json, sys\n"
         "def heavy():\n"
@@ -207,6 +236,11 @@ def test_exact_commands_load_neither_numpy_nor_the_matrix_model():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = hdt.cli.main(argv)\n"
         "    steps.append([argv[0], code, heavy()])\n"
+        "    if argv[0] == 'integrate':\n"
+        "        from hdt.integral import empirical_threshold\n"
+        "        su22 = hdt.cli.pair_by_label('su22')\n"
+        "        found = empirical_threshold(su22, hdt.cli.extend_compact_coords(su22, [0, 0]))\n"
+        "        steps.append(['threshold', round(found), heavy()])\n"
         "print(json.dumps(steps))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -219,7 +253,8 @@ def test_exact_commands_load_neither_numpy_nor_the_matrix_model():
         ["analyze", 0, []],
         ["criterion", 0, []],
         ["verify", 0, []],
-        ["integrate", 0, ["numpy"]],
+        ["integrate", 0, []],
+        ["threshold", -3, []],
         ["verify", 0, ["numpy", "hdt.matrixmodel"]],
     ]
 
@@ -290,26 +325,6 @@ def test_integrate_su11_value():
     assert "disc normalization" in data["scalar_note"]
 
 
-@pytest.mark.parametrize("extra,order", [((), 24), (("--order", "16"), 16)],
-                         ids=["default", "order16"])
-def test_integrate_runs_the_order_given(monkeypatch, capsys, extra, order):
-    # the eps ladder is the one sweep, at --order; the scalar is a closed form
-    import hdt.cli
-    import hdt.integral as integral
-
-    orders = []
-    sweep = integral._truncations
-
-    def counted(spec, eps_values, order):
-        orders.append(order)
-        return sweep(spec, eps_values, order)
-
-    monkeypatch.setattr(integral, "_truncations", counted)
-    assert hdt.cli.main(["integrate", "su11", "--lambda", "-3", *extra]) == 0
-    assert "formal dimension scalar" in capsys.readouterr().out
-    assert orders == [order]
-
-
 def test_integrate_divergent_exit_zero():
     res = run_cli("integrate", "su11", "--lambda", "0")
     assert res.returncode == 0  # a divergent verdict is a result, not an error
@@ -317,25 +332,28 @@ def test_integrate_divergent_exit_zero():
 
 
 def test_integrate_lost_precision_reports_analytic_verdict():
-    # the su(3,3) ladder cancels at lambda = 0; the exponents still decide
+    # the su(3,3) ladder at lambda = 0 cancelled in the quadrature sweep; the
+    # exact ladder runs, and its verdict agrees with the exponents'
     res = run_cli("integrate", "su33", "--lambda", "0", "--output", "json")
     assert res.returncode == 0, res.stderr
     data = json.loads(res.stdout)
     assert data["classification"] == "divergent"
-    assert data["empirical"] == "not-run"
-    assert data["ladder"] == []
-    assert "lost precision" in data["scalar_note"]
+    assert data["empirical"] == "divergent"
+    values = [rung["estimate"] for rung in data["ladder"]]
+    assert len(values) == 4 and all(0 < a < b for a, b in zip(values, values[1:]))
+    assert data["scalar_note"] is None and data["formal_dimension_scalar"] is None
 
 
 def test_integrate_rank_one_json_keeps_the_not_run_reason(capsys):
-    # the su11 ladder at lambda = -10^6 exceeds the full integral; the JSON
-    # note carries that reason and the disc normalization both
+    # su(1,2) with dim tau 10 002 is above the trace budget; the JSON note
+    # carries that reason and the disc normalization both
     import hdt.cli
 
-    assert hdt.cli.main(["integrate", "su11", "--lambda", "-1000000", "--output", "json"]) == 0
+    argv = ["integrate", "su12", "--lambda", "-10010", "--lambda0", "10001", "--output", "json"]
+    assert hdt.cli.main(argv) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["empirical"] == "not-run"
-    assert "lost precision" in data["scalar_note"]
+    assert "above the trace budget" in data["scalar_note"]
     assert "disc normalization" in data["scalar_note"]
 
 
@@ -348,15 +366,12 @@ def test_integrate_json():
 
 
 def test_integrate_json_without_ladder_is_strict_json():
-    # above the rank cap (sp5) and after lost precision (su33 at 0) the
-    # ladder does not run: its slope and exponent are null, not NaN
-    def reject(constant):
-        raise ValueError(f"non-JSON constant {constant}")
-
-    for args in (("sp5", "--lambda", "-20"), ("su33", "--lambda", "0")):
+    # above the rank cap (sp5) and above the trace budget (su22 with dim tau
+    # 10 001) the ladder does not run: its slope and exponent are null, not NaN
+    for args in (("sp5", "--lambda", "-20"), ("su22", "--lambda", "-20", "--lambda0", "10000,0")):
         res = run_cli("integrate", *args, "--output", "json")
         assert res.returncode == 0
-        data = json.loads(res.stdout, parse_constant=reject)
+        data = json.loads(res.stdout, parse_constant=_reject_constant)
         assert data["empirical"] == "not-run"
         assert data["fitted_slope"] is None and data["increment_exponent"] is None
 

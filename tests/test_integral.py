@@ -1,4 +1,4 @@
-"""Quadrature correctness against closed forms and convergence classification."""
+"""The exact eps ladder against closed forms, and convergence classification."""
 
 import io
 import json
@@ -16,16 +16,13 @@ from hdt.criterion import HighestWeightInput, hc_condition, hc_threshold
 from hdt.hermitian import catalog, pair_by_label
 from hdt.integral import (
     DEFAULT_LADDER,
-    DEFAULT_ORDER,
     MAX_QUADRATURE_RANK,
     MAX_TRACE_DIM,
-    PROBE_ORDER,
     ConfigurationError,
     ConvergenceReport,
     IntegralOverflowError,
     IntegralSpec,
-    _cumulative_matrix,
-    _gauss,
+    _ladder_table,
     _p_monomials,
     _panels,
     _truncations,
@@ -193,8 +190,8 @@ def test_grouped_integral_is_the_weighted_trace():
     for mu in ws.weights:
         one = build_integrand(pr, ws._replace(weights=(mu,)), -24)
         assert one.multiplicities == (1,)
-        trace += mults[mu] * integrate(one, 1e-3, 16)
-    assert integrate(grouped, 1e-3, 16) == pytest.approx(trace, rel=1e-12)
+        trace += mults[mu] * integrate(one, 1e-3)
+    assert integrate(grouped, 1e-3) == pytest.approx(trace, rel=1e-12)
 
 
 @pytest.mark.parametrize("label,lam,value", [
@@ -230,6 +227,79 @@ def test_closed_form_matches_the_finest_rung():
     assert cases == 212
 
 
+def test_limit_is_the_closed_form():
+    # as eps -> 0 the ladder's table tends to its constant n(0, 0) / q, which
+    # must be Harish-Chandra's product: every rank <= 4 pair at lambda_c - 3,
+    # at Lambda0 = 0 and the first compact fundamental weight
+    cases = 0
+    for pr in catalog():
+        if restricted_root_data(pr).r > MAX_QUADRATURE_RANK:
+            continue
+        for lam0 in dict.fromkeys((_zero(pr), *compact_fundamental_weights(pr)[:1])):
+            lam = hc_threshold(pr, lam0) - 3
+            spec = build_integrand(pr, weight_system(pr, lam0), lam, with_multiplicities=True)
+            table, q, _ = _ladder_table(spec)
+            exact = closed_form_integral(pr, lam0, lam)
+            assert abs(table[0, 0] / q - exact) <= 1e-13 * exact, (pr.label, lam0)
+            cases += 1
+    assert cases == 73
+
+
+def test_rungs_do_not_move_with_twenty_more_digits(monkeypatch):
+    # each rung keeps 20 significant digits after its cancellation; at 40 it
+    # rounds to the same double (or, at a rounding tie, its neighbour)
+    import hdt.integral as integral
+
+    cases = [("su33", (0, 0, 0, 0), 0), ("sp4", (1, 1, 1), 0), ("sp4", (2, 2, 2), -13),
+             ("e7vii", (1, 0, 0, 0, 0, 1), -24), ("su44", (0,) * 6, Fraction(-15, 2)),
+             ("sp3", (1, 0), -4.0123456789), ("e7vii", (0,) * 6, Fraction(-33, 2))]
+    specs = []
+    for label, coords, lam in cases:
+        pr = pair_by_label(label)
+        ws = weight_system(pr, extend_compact_coords(pr, coords))
+        specs.append(build_integrand(pr, ws, lam, with_multiplicities=True))
+    before = [_truncations(spec, DEFAULT_LADDER) for spec in specs]
+    monkeypatch.setattr(integral, "_RUNG_DIGITS", integral._RUNG_DIGITS + 20)
+    for case, spec, values in zip(cases, specs, before):
+        for old, new in zip(values, _truncations(spec, DEFAULT_LADDER)):
+            assert abs(new - old) <= math.ulp(old), (case, old, new)
+
+
+def test_log_branch_su11():
+    # su11 at lambda = -1 has E = -1, so d = 0 at the one step: every rung is
+    # (1/2) int_delta^1 dv / v = -ln(delta) / 2
+    pr = pair_by_label("su11")
+    spec = build_integrand(pr, weight_system(pr, _zero(pr)), -1)
+    assert _ladder_table(spec) == ({(0, 1): -1}, 2, 1)
+    for eps, value in zip(DEFAULT_LADDER, _truncations(spec, DEFAULT_LADDER)):
+        assert value == pytest.approx(-0.5 * math.log(eps * (2.0 - eps)), rel=1e-15)
+
+
+def test_closed_form_beyond_the_double_range():
+    # one below the threshold with a Lambda0 of 10^300: the exact ratio alone
+    # overflows a double; the product in logs is finite for e3iii and above
+    # the range (inf) for su14
+    for label, coords, finite in (("e3iii", (0, 0, 10 ** 300, 0, 0), True),
+                                  ("su14", (10 ** 300, 0, 0), False)):
+        pr = pair_by_label(label)
+        lam0 = extend_compact_coords(pr, coords)
+        value = closed_form_integral(pr, lam0, hc_threshold(pr, lam0) - 1)
+        assert (0.0 < value < math.inf) if finite else value == math.inf, (label, value)
+
+
+def test_long_decimal_lambda():
+    # a lambda with a 300-digit fraction scales every exponent by D = 10^300;
+    # its rungs are those of lambda cut to 40 digits, to the last double
+    pr = pair_by_label("su33")
+    ws = weight_system(pr, extend_compact_coords(pr, (1, 0, 0, 0)))
+    values = []
+    for digits in (300, 40):
+        spec = build_integrand(pr, ws, Fraction("-10." + "7" * digits), with_multiplicities=True)
+        values.append(_truncations(spec, DEFAULT_LADDER))
+    for long, short in zip(*values):
+        assert abs(long - short) <= math.ulp(short), (long, short)
+
+
 def test_integrate_reports_the_closed_form_far_below_the_threshold(capsys):
     # at lambda = -10^6 the su11 ladder reads 8.73e-7 where the integral is
     # 5.0e-7; the reported value, with the disc factor, is 1/(2 pi) at any lambda
@@ -241,29 +311,39 @@ def test_integrate_reports_the_closed_form_far_below_the_threshold(capsys):
 
 
 def test_a_rung_above_the_full_integral_is_lost_precision(capsys):
-    # the su11 rungs at lambda = -10^6 all read 8.73e-7, above the full
-    # integral 1/(2 (10^6 - 1)), which no truncation of a positive integrand
-    # can exceed
+    # the Gauss-Legendre sweep read 8.73e-07 on every su11 rung at
+    # lambda = -10^6, above the full integral 1/(2 (10^6 - 1)); the exact
+    # rungs (1 - delta^(10^6 - 1)) / (2 (10^6 - 1)) run and lie at or below it
     from hdt.cli import main
 
+    full = Fraction(1, 2 * (10 ** 6 - 1))
     assert main(["integrate", "su11", "--lambda", "-1000000", "--output", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["empirical"] == "not-run" and data["ladder"] == []
-    assert data["increment_exponent"] is None and data["classification"] == "convergent"
+    assert data["empirical"] == "convergent" and data["classification"] == "convergent"
+    assert [rung["eps"] for rung in data["ladder"]] == list(DEFAULT_LADDER)
+    for rung in data["ladder"]:
+        assert rung["estimate"] <= float(full)
+        assert rung["estimate"] == pytest.approx(float(full), rel=1e-15)
     assert main(["integrate", "su11", "--lambda", "-1000000"]) == 0
     out = capsys.readouterr().out
-    assert ("quadrature lost precision: truncated values 8.73e-07, 8.73e-07, 8.73e-07, "
-            "8.73e-07 exceed the full integral 5e-07; analytic classification only") in out
+    assert "empirical classification: convergent" in out and "not-run" not in out
+    # the guard itself: a full integral below the rungs refuses the ladder
+    pr = pair_by_label("su11")
+    spec = build_integrand(pr, weight_system(pr, _zero(pr)), -1000000)
+    rep = classify_convergence(spec, full=0.5 * float(full))
+    assert rep.empirical_classification == "not-run"
+    assert rep.note.startswith("inconsistent eps ladder: truncated values 5e-07, 5e-07, "
+                               "5e-07, 5e-07 exceed the full integral 2.5e-07")
 
 
 def _cube_integral_oracle(exponents, a, b, eps, order=24):
     """Full-cube tensor quadrature of the symmetrized integrand divided by r!.
 
-    Independent of the production path: no cumulative matrices, no simplex;
-    it uses |P| and plain tensor Gauss-Legendre on the same graded panels.
+    Independent of the production path: no closed forms, no simplex; it
+    uses |P| and plain tensor Gauss-Legendre on graded panels.
     """
     r = len(exponents)
-    ref_x, ref_w = _gauss(order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
     halves = [(hi - lo) / 2.0 for lo, hi in _panels(eps)]
     x = np.concatenate([lo + h * (ref_x + 1.0) for (lo, _), h in zip(_panels(eps), halves)])
     wts = np.concatenate([h * ref_w for h in halves])
@@ -283,16 +363,15 @@ def _cube_integral_oracle(exponents, a, b, eps, order=24):
 
 def test_simplex_equals_symmetrized_cube():
     # Weyl symmetry: ordered-simplex integral = cube integral of |P| / r!
-    # (su(2,2) has even multiplicity a = 2, so |P| stays smooth and the
-    # independent tensor oracle converges at full order)
-    pr = pair_by_label("su22")
-    rd = restricted_root_data(pr)
-    ws = weight_system(pr, _zero(pr))
-    for lam in (-5, -4.5):
-        spec = build_integrand(pr, ws, lam)
-        val = integrate(spec, 1e-4)
-        oracle = _cube_integral_oracle(spec.exponents[0], rd.a, rd.b, 1e-4)
-        assert val == pytest.approx(oracle, rel=1e-8)
+    # (even multiplicity a, so |P| stays smooth and the independent tensor
+    # oracle converges at full order), at every rung of the default ladder
+    for label, lam in (("su22", -5), ("su22", -4.5), ("su23", -6), ("sostar8", -8)):
+        pr = pair_by_label(label)
+        rd = restricted_root_data(pr)
+        spec = build_integrand(pr, weight_system(pr, _zero(pr)), lam)
+        for eps, val in zip(DEFAULT_LADDER, _truncations(spec, DEFAULT_LADDER)):
+            oracle = _cube_integral_oracle(spec.exponents[0], rd.a, rd.b, eps)
+            assert val == pytest.approx(oracle, rel=1e-8), (label, lam, eps)
 
 
 def weyl_polynomial(rd, x) -> float:
@@ -321,8 +400,9 @@ def test_weyl_polynomial():
 
 
 def test_monomial_expansion_matches_weyl_polynomial():
-    # sum of c * prod x^p against the closed-form product, for every
-    # restricted-root type (r, a, b) of the catalog inside the quadrature cap
+    # sum of c * prod v^p against the closed-form product, for every
+    # restricted-root type (r, a, b) of the catalog inside the quadrature cap:
+    # with x_j = sqrt(1 - v_j), P(x) = prod_j x_j (1-v_j)^b prod_(j<k) (v_j-v_k)^a
     types = {}
     for pr in catalog():
         rd = restricted_root_data(pr)
@@ -332,113 +412,67 @@ def test_monomial_expansion_matches_weyl_polynomial():
     rng = np.random.default_rng(0)
     for (r, a, b), rd in types.items():
         coeffs, powers = _p_monomials(r, a, b)
-        for x in rng.uniform(0.05, 1.0, size=(5, r)):
-            terms = coeffs * np.prod(x ** powers, axis=1)
+        assert all(type(c) is int for c in coeffs)
+        coeffs, powers = np.array(coeffs, dtype=float), np.array(powers)
+        for v in rng.uniform(0.05, 0.95, size=(5, r)):
+            terms = coeffs * np.prod(v ** powers, axis=1)
             scale = np.sum(np.abs(terms))
-            assert abs(np.sum(terms) - weyl_polynomial(rd, x)) <= 1e-12 * scale, (r, a, b)
+            x = np.sqrt(1.0 - v)
+            want = weyl_polynomial(rd, x) / np.prod(x)
+            assert abs(np.sum(terms) - want) <= 1e-12 * scale, (r, a, b)
 
 
 def test_monomial_expansion_small_cases():
-    coeffs, powers = _p_monomials(1, 0, 0)
-    assert list(coeffs) == [1.0] and powers.tolist() == [[1]]
-    coeffs, powers = _p_monomials(2, 1, 0)
-    # x1 x2 (x2^2 - x1^2) = x1 x2^3 - x1^3 x2
-    got = sorted(zip(powers.tolist(), coeffs.tolist()))
-    assert got == [([1, 3], 1.0), ([3, 1], -1.0)]
-
-
-def _cumulative_matrix_by_rows(order):
-    """Reference: one sub-rule on [-1, x_i] per row, one basis polynomial
-    at a time."""
-    x, w = _gauss(order)
-    c = np.zeros((order, order))
-    for i in range(order):
-        half = (x[i] + 1.0) / 2.0
-        t = -1.0 + half * (x + 1.0)
-        for j in range(order):
-            lj = np.ones_like(t)
-            for k in range(order):
-                if k != j:
-                    lj *= (t - x[k]) / (x[j] - x[k])
-            c[i, j] = half * np.dot(w, lj)
-    return c
-
-
-def test_cumulative_matrix_integrates_polynomials():
-    # (C @ p(x))_i is the integral of p from -1 to node i, exact for degree < order
-    for order in range(1, 33):
-        x, _ = _gauss(order)
-        c = _cumulative_matrix(order)
-        for k in range(order):
-            exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
-            assert np.max(np.abs(c @ x ** k - exact)) <= 1e-12, (order, k)
-
-
-def test_cumulative_matrix_rounds_as_the_row_by_row_reference():
-    # the cancelling probe ladders are sensitive to the last ulp of C
-    for order in (8, 12, 16, 20, 24, 32):
-        assert np.array_equal(_cumulative_matrix(order), _cumulative_matrix_by_rows(order)), order
+    assert _p_monomials(1, 0, 0) == ((1,), ((0,),))
+    # v1 - v2, which is x2^2 - x1^2
+    assert _p_monomials(2, 1, 0) == ((-1, 1), ((0, 1), (1, 0)))
+    # (1 - v)^2
+    assert _p_monomials(1, 0, 2) == ((1, -2, 1), ((0,), (1,), (2,)))
 
 
 def test_overflow_signalled():
-    with pytest.raises(IntegralOverflowError):
+    # (delta^-39 - 1) / 78 at delta = 2e-10 is about 2e376
+    with pytest.raises(IntegralOverflowError, match="beyond the double range"):
         integrate(_spec_r1(-40.0), 1e-10)
-    # nodes that round to x = 1 give 0**negative: typed, with no RuntimeWarning
-    with pytest.raises(IntegralOverflowError):
-        integrate(_spec_r1(-1.5), 1e-18)
+    # 1 - 1e-18 rounds to 1 in doubles, where the sweep's nodes met 0**negative;
+    # delta = 2e-18 - 1e-36 is exact in decimal and the integral
+    # (1/2) int_delta^1 v^-1.5 dv = delta^-1/2 - 1 runs
+    delta = 2 * Fraction(1e-18) - Fraction(1e-18) ** 2
+    assert integrate(_spec_r1(-1.5), 1e-18) == pytest.approx(float(delta) ** -0.5 - 1.0, rel=1e-15)
 
 
 def test_lost_precision_falls_back_to_analytic():
-    # the same cancelling ladder: the criterion still decides the verdict
+    # su(3,3) at lambda = 0 once cancelled to a negative rung in the sweep;
+    # the exact ladder runs, grows and reads what the criterion says
     pr = pair_by_label("su33")
     ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(build_integrand(pr, ws, 0), DEFAULT_LADDER, PROBE_ORDER)
+    rep = classify_convergence(build_integrand(pr, ws, 0))
     assert not _exists(pr, _zero(pr), 0)
-    assert rep.empirical_classification == "not-run"
-    assert rep.truncated_values == ()
-    assert "lost precision" in rep.note
+    assert rep.empirical_classification == "divergent" and rep.note is None
+    values = [v for _, v in rep.truncated_values]
+    assert len(values) == 4 and all(0 < a < b for a, b in zip(values, values[1:]))
 
 
 def test_falling_ladder_is_lost_precision():
-    # e7vii at lambda = -16.5 diverges (min E = -3/2), but at the probe order
-    # its ladder falls at the last rung (1.08e-05 -> 8.59e-06) and its last
-    # increment is negative, which once read as converged to full precision
+    # e7vii at lambda = -16.5 diverges (min E = -3/2); at the probe order the
+    # sweep's ladder fell at the last rung (1.08e-05 -> 8.59e-06), and its last
+    # increment was negative.  The exact rungs grow like eps^(-1/2)
     pr = pair_by_label("e7vii")
     spec = build_integrand(pr, weight_system(pr, _zero(pr)), Fraction(-33, 2))
-    rep = classify_convergence(spec, DEFAULT_LADDER, PROBE_ORDER)
+    rep = classify_convergence(spec)
     assert min(min(row) for row in spec.exponents) == Fraction(-3, 2)
     assert not _exists(pr, _zero(pr), Fraction(-33, 2))
-    assert rep.empirical_classification == "not-run"
-    assert "lost precision" in rep.note and "fall as eps shrinks" in rep.note
+    assert rep.empirical_classification == "divergent"
+    values = [v for _, v in rep.truncated_values]
+    assert all(0 < a < b for a, b in zip(values, values[1:]))
+    assert rep.increment_exponent == pytest.approx(-0.5, abs=0.01)
 
 
 def test_lost_precision_is_a_typed_failure():
-    # at lambda = 0 the su(3,3) ladder cancels to a negative truncated value
+    # the sweep's su(3,3) ladder at lambda = 0 cancelled to a negative rung,
+    # which stopped the search; the exact ladder lets it find 1 - p = -5
     pr = pair_by_label("su33")
-    with pytest.raises(ConfigurationError, match="lost precision"):
-        empirical_threshold(pr, _zero(pr))
-
-
-def test_ladder_evaluates_each_eps_at_one_order(monkeypatch):
-    # the ladder keeps only the value integrate() reports, so it costs that
-    # one quadrature order, and all four eps share one sweep over the panels
-    import hdt.integral as integral
-
-    sweeps = []
-    sweep = integral._truncations
-
-    def counted(spec, eps_values, order):
-        sweeps.append((tuple(eps_values), order))
-        return sweep(spec, eps_values, order)
-
-    monkeypatch.setattr(integral, "_truncations", counted)
-    pr = pair_by_label("su11")
-    spec = build_integrand(pr, weight_system(pr, _zero(pr)), -3)
-    rep = classify_convergence(spec)
-    assert sweeps == [((1e-2, 1e-3, 1e-4, 1e-5), DEFAULT_ORDER)]
-    assert rep.truncated_values == tuple(
-        (e, integrate(spec, e)) for e in (1e-2, 1e-3, 1e-4, 1e-5)
-    )
+    assert abs(empirical_threshold(pr, _zero(pr)) - (-5.0)) <= 0.05
 
 
 @pytest.mark.parametrize("label,lam0,lam", [
@@ -447,27 +481,29 @@ def test_ladder_evaluates_each_eps_at_one_order(monkeypatch):
     ("sostar14", (0, 0, 0, 0, 0, 0), -14),
 ], ids=["e7vii", "sp4", "sostar14"])
 def test_shared_sweep_matches_one_sweep_per_eps(label, lam0, lam):
-    # each rung's prefix panels come from the finest grid and its tail panel
-    # from its own start; alone, an eps sweeps only its own partition
+    # a ladder evaluates one table at every eps, each at the precision its
+    # own cancellation asks for: a rung does not depend on its companions
     pr = pair_by_label(label)
     ws = weight_system(pr, extend_compact_coords(pr, lam0))
     spec = build_integrand(pr, ws, lam, with_multiplicities=True)
     ladder = (1e-2, 1e-3, 1e-4, 1e-5)
-    shared = _truncations(spec, ladder, DEFAULT_ORDER)
+    shared = _truncations(spec, ladder)
     for e, value in zip(ladder, shared):
-        alone = _truncations(spec, (e,), DEFAULT_ORDER)[0]
+        alone = _truncations(spec, (e,))[0]
         assert abs(value - alone) <= 1e-13 * abs(alone), (e, value, alone)
 
 
 def test_cancelling_sp4_ladder_still_reads_divergent():
-    # at lambda = 0 the sp(4) (1,1,1) ladder cancels in its monomial sum and
-    # stays positive only while each rung rounds as it always has; the
-    # threshold search no longer probes lambda = 0, so only this test reads it
+    # at lambda = 0 the sp(4) (1,1,1) ladder cancelled in the sweep's monomial
+    # sum and stayed positive only while each rung rounded as it always had;
+    # the exact rungs grow without cancelling
     pr = pair_by_label("sp4")
     lam0 = extend_compact_coords(pr, (1, 1, 1))
     ws = weight_system(pr, lam0)
-    rep = classify_convergence(build_integrand(pr, ws, 0), DEFAULT_LADDER, PROBE_ORDER)
-    assert rep.empirical_classification == "divergent"
+    rep = classify_convergence(build_integrand(pr, ws, 0), DEFAULT_LADDER)
+    assert rep.empirical_classification == "divergent" and rep.note is None
+    values = [v for _, v in rep.truncated_values]
+    assert all(0 < a < b for a, b in zip(values, values[1:]))
     assert abs(empirical_threshold(pr, lam0) - (-7.0)) <= 0.05
 
 
@@ -552,9 +588,9 @@ def _counting_probes(monkeypatch, report=None):
     probes = []
     classify = integral.classify_convergence
 
-    def counted(spec, eps_ladder, order):
+    def counted(spec, eps_ladder):
         probes.append(spec)
-        return report(spec) if report else classify(spec, eps_ladder, order)
+        return report(spec) if report else classify(spec, eps_ladder)
 
     monkeypatch.setattr(integral, "classify_convergence", counted)
     return probes
@@ -643,6 +679,16 @@ def test_thresholds_whose_lambda_zero_ladder_cancels(label, fundamental):
     assert abs(empirical_threshold(pr, lam0) - float(hc_threshold(pr, lam0))) <= 0.05
 
 
+def test_empirical_threshold_every_rank_four_pair():
+    # no probe ladder cancels: the search finds 1 - p - Lambda0 terms on every
+    # pair inside the rank cap
+    for pr in catalog():
+        if restricted_root_data(pr).r > MAX_QUADRATURE_RANK:
+            continue
+        lam0 = _zero(pr)
+        assert abs(empirical_threshold(pr, lam0) - float(hc_threshold(pr, lam0))) <= 0.05, pr.label
+
+
 def test_agreement_sign_with_criterion():
     # sign of (empirical threshold - lambda) matches the exact verdict
     pr = pair_by_label("sp2")
@@ -674,20 +720,18 @@ FUZZ_EPS = st.sampled_from(
 
 @st.composite
 def integrate_argv(draw):
-    """`integrate` with --eps, --order, --lambda and --lambda0 each valid most
-    of the time: Lambda0 entries in [-1, 2], now and then a coordinate short
-    or long; lambda within 4 of the Lambda0 = 0 threshold, or not a plain
-    decimal; eps ladders of distinct values in [MIN_EPS, 1), or any list;
-    orders in [1, MAX_ORDER] and just outside it."""
+    """`integrate` with --eps, --lambda and --lambda0 each valid most of the
+    time: Lambda0 entries in [-1, 2], now and then a coordinate short or
+    long; lambda within 4 of the Lambda0 = 0 threshold, or not a plain
+    decimal; eps ladders of distinct values in [MIN_EPS, 1), or any list."""
     pr, threshold = draw(FUZZ_PAIRS)
     n = max(pr.root_system.rank - 1 + draw(st.sampled_from((0,) * 6 + (-1, 1))), 0)
     lam0 = draw(FUZZ_LAMBDA0[n])
     near = f"{threshold + draw(st.integers(-400, 400)) / 100:.2f}"
     lam = draw(st.sampled_from((near,) * 6 + ("1e-3", "abc")))
     eps = draw(draw(FUZZ_EPS))
-    order = draw(st.sampled_from((1, 2, 8, 16, 24, 24, 24, 0, 129)))
     return ["integrate", pr.label, f"--lambda={lam}", f"--lambda0={','.join(map(str, lam0))}",
-            f"--eps={','.join(eps)}", f"--order={order}", "--output", "json"]
+            f"--eps={','.join(eps)}", "--output", "json"]
 
 
 @settings(max_examples=500, deadline=None)

@@ -22,7 +22,11 @@ subcommands can be swept:
   and at the first compact fundamental weight, with lambda = lambda_c - 3
   and lambda_c + 1;
 - three bad Lambda0 inputs, `integrate su11 --lambda -1000000`, and
-  `verify all --seed 1..3` as JSON.
+  `verify all --seed 1..3` as JSON;
+- as JSON, three eps ladders of note: su44 at lambda = -10 with Lambda0 =
+  1,1,1,1,1,1 (the largest ladder within the budgets), su33 at lambda = 0
+  (a divergent ladder that cancels heavily) and su11 at lambda = -1 (the
+  logarithmic rungs).
 """
 
 from __future__ import annotations
@@ -79,6 +83,9 @@ def sweep(main) -> list[dict]:
         run("criterion", "su22", "--lambda", "-9", f"--lambda0={bad}")
     for fmt in FORMATS:
         run("integrate", "su11", "--lambda", "-1000000", "--output", fmt)
+    for args in (("su44", "--lambda", "-10", "--lambda0", "1,1,1,1,1,1"),
+                 ("su33", "--lambda", "0"), ("su11", "--lambda", "-1")):
+        run("integrate", *args, "--output", "json")
     for seed in (1, 2, 3):
         run("verify", "all", "--seed", str(seed), "--output", "json")
     return records
