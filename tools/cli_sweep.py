@@ -26,7 +26,11 @@ subcommands can be swept:
 - as JSON, three eps ladders of note: su44 at lambda = -10 with Lambda0 =
   1,1,1,1,1,1 (the largest ladder within the budgets), su33 at lambda = 0
   (a divergent ladder that cancels heavily) and su11 at lambda = -1 (the
-  logarithmic rungs).
+  logarithmic rungs);
+- as JSON at lambda = lambda_c - 3, the four multiplicity-heavy `integrate`
+  calls of the benchmark's `quadrature` workload, whose rungs depend on
+  every weight multiplicity: so2_8 at Lambda0 = 1,1,1,1, e7vii at
+  1,0,0,0,0,1, su33 at 2,2,2,2 and sp4 at 2,2,2.
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ def sweep(main) -> list[dict]:
     for args in (("su44", "--lambda", "-10", "--lambda0", "1,1,1,1,1,1"),
                  ("su33", "--lambda", "0"), ("su11", "--lambda", "-1")):
         run("integrate", *args, "--output", "json")
+    for label, lam0 in (("so2_8", "1,1,1,1"), ("e7vii", "1,0,0,0,0,1"),
+                        ("su33", "2,2,2,2"), ("sp4", "2,2,2")):
+        lam0_arg = f"--lambda0={lam0}"
+        probe = call(main, ["criterion", label, "--lambda", "0", lam0_arg, "--output", "json"])
+        lam = Fraction(json.loads(probe["stdout"])["threshold"]) - 3
+        run("integrate", label, "--lambda", str(lam), lam0_arg, "--output", "json")
     for seed in (1, 2, 3):
         run("verify", "all", "--seed", str(seed), "--output", "json")
     return records
