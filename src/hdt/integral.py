@@ -56,6 +56,10 @@ _RANK_CAP = f"rank above quadrature cap ({MAX_QUADRATURE_RANK})"
 # the largest trace (dim tau_Lambda0, by the Weyl formula) whose weights are
 # enumerated for the eps ladder; the benchmark's largest is 4 096
 MAX_TRACE_DIM = 10_000
+# the ladder runs while D, the exponents' common denominator (lambda's), is at
+# most 10^MAX_LADDER_DIGITS, so lambda has at most 100 decimal places: the
+# table's integers, and its cost, grow with D's length
+MAX_LADDER_DIGITS = 100
 # significant digits every rung keeps after its cancellation
 _RUNG_DIGITS = 20
 # the working precision at which a rung stops rising: far above what any
@@ -388,10 +392,15 @@ def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEF
     integral converges is the criterion's, not this report's.  Above the rank
     cap, or when a rung leaves the double range, is not positive, falls as
     eps shrinks or rises above `full` (the full integral, when known), it is
-    "not-run" and the note says why.
+    "not-run" and the note says why, as it is when D, the exponents' common
+    denominator, exceeds 10^MAX_LADDER_DIGITS.
     """
     if spec.r > MAX_QUADRATURE_RANK:
         return not_run(_RANK_CAP)
+    big_d = math.lcm(*(e.as_integer_ratio()[1] for row in spec.exponents for e in row))
+    if big_d > 10 ** MAX_LADDER_DIGITS:
+        return not_run(f"exponent denominator D of {Decimal(big_d).adjusted() + 1} digits "
+                       f"above the ladder's budget (10^{MAX_LADDER_DIGITS})")
     ladder = tuple(sorted(eps_ladder, reverse=True))
     try:
         values = _truncations(spec, ladder)

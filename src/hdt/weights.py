@@ -7,16 +7,16 @@ Weyl dimension are integers too: a remainder in halving or dividing them
 is a StructuralError.  One function, `_validate_lambda0`, checks every
 highest weight Lambda0.  Weights of compact-part irreducibles are
 generated by string saturation from the highest weight.  Multiplicities
-come from one Freudenthal recursion per weight system, whose memo every
-weight shares (`weight_multiplicities`); they weight the trace of the eps
-ladder and never change a convergence verdict.
+come from Freudenthal's recursion on the dominant weights alone, each
+carried over its compact Weyl group orbit (`weight_multiplicities`); they
+weight the trace of the eps ladder and never change a convergence verdict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .cascade import root_sum, strongly_orthogonal_cascade
@@ -126,54 +126,68 @@ def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
     """Multiplicity of every weight of the compact-part irreducible.
 
     Freudenthal's formula (lam - nu | lam + nu + 2 rho_c) m(nu) =
-    2 sum_(alpha, k) m(nu + k alpha) (nu + k alpha | alpha) is used scaled by
-    4, which makes both sides integers: with lam - nu = sum n_i alpha_i and x
-    the weight coordinates of lam + nu + 2 rho_c, the left factor is
+    2 sum_(alpha, k >= 1) m(nu + k alpha) (nu + k alpha | alpha) is used scaled
+    by 4, which makes both sides integers: with lam - nu = sum n_i alpha_i and
+    x the weight coordinates of lam + nu + 2 rho_c, the left factor is
     sum_i n_i x_i 2(alpha_i|alpha_i), and 4 (w|alpha) = w(alpha^vee) 2(alpha|alpha).
-    One memo serves every weight: a breadth-first walk down simple roots
-    from the (multiplicity-one) highest weight reaches each weight after all
-    weights above it, carrying n along.  Strings are unbroken and nu + alpha
-    comes first, so each string's sum runs along it.  Cached per weight system.
+    It runs on the dominant weights alone, walked from lam by compact positive
+    roots (Stembridge, Adv. Math. 136 (1998)) with n carried, in order of
+    height.  The string sums T(w, alpha) = sum_(k >= 0) m(w + k alpha)
+    (w + k alpha)(alpha^vee) are W_c-invariant, so for nu dominant T(nu +
+    alpha, alpha) = m(w) w(beta^vee) + T(w + beta, beta), where (w, beta) is
+    (nu + alpha, alpha) moved into the dominant chamber: beta is positive and
+    w lies above nu, so that tail was kept when w was reached, and each
+    (dominant weight, root) costs one step.  Simple reflections then carry
+    each multiplicity over its W_c-orbit; the orbits must make up `ws.weights`
+    exactly, or StructuralError is raised.  Cached per weight system.
     """
     rs = ws.pair.root_system
     lam = ws.highest
-    wset = set(ws.weights)
-    nodes = compact_nodes(ws.pair)
+    rows = {i: rs.cartan[i] for i in compact_nodes(ws.pair)}
     compact_pos = partition_roots(ws.pair).compact_pos
     two_rho_c = rs.weight_coords(root_sum(rs, compact_pos))
-    alphas = [(rs.weight_coords(a), rs.coroot(a), rs.inner2(a, a)) for a in compact_pos]
+    alphas = [(rs.weight_coords(a), a, rs.coroot(a), rs.inner2(a, a)) for a in compact_pos]
     diag = [rs.sym[i][i] for i in range(rs.rank)]
-    memo: dict[Weight, int] = {lam: 1}
-    # weight nu -> per compact positive root alpha, the alpha-string sum
-    # T(nu) = sum_(k >= 0) m(nu + k alpha) (nu + k alpha)(alpha^vee)
-    strings = {lam: [sum(map(mul, lam, coroot)) for _, coroot, _ in alphas]}
-    frontier = [(lam, (0,) * rs.rank)]
-    while frontier:
-        nxt = []
-        for mu, n in frontier:
-            for i in nodes:
-                nu = tuple(m - c for m, c in zip(mu, rs.cartan[i]))
-                if nu not in wset or nu in memo:
-                    continue
-                n_nu = tuple(nj + (j == i) for j, nj in enumerate(n))
-                # T(nu + alpha), zero where the string ends
-                tail = [strings[up][k] if (up := tuple(map(add, nu, aw))) in strings else 0
-                        for k, (aw, _, _) in enumerate(alphas)]
-                rhs = sum(t * nsq2 for t, (_, _, nsq2) in zip(tail, alphas))
-                x = (a + b + c for a, b, c in zip(lam, nu, two_rho_c))
-                denom = sum(ni * xi * di for ni, xi, di in zip(n_nu, x, diag))
-                if denom == 0:
-                    raise StructuralError("vanishing denominator in multiplicity recursion")
-                val, rem = divmod(2 * rhs, denom)
-                if rem or val <= 0:
-                    raise StructuralError(f"non-positive-integer multiplicity {Fraction(2 * rhs, denom)}")
-                memo[nu] = val
-                strings[nu] = [val * sum(map(mul, nu, c)) + t for (_, c, _), t in zip(alphas, tail)]
-                nxt.append((nu, n_nu))
-        frontier = nxt
-    if len(memo) != len(wset):
-        raise StructuralError("weight support not connected by simple-root strings")
-    return memo
+    dominant = {lam: (0,) * rs.rank}  # dominant weight mu -> n of lam - mu
+    for mu in (todo := [lam]):
+        for aw, a, _, _ in alphas:
+            nu = tuple(map(sub, mu, aw))
+            if nu not in dominant and all(nu[i] >= 0 for i in rows):
+                dominant[nu] = tuple(map(add, dominant[mu], a))
+                todo.append(nu)
+    mults: dict[Weight, int] = {lam: 1}
+    tails: dict[tuple[Weight, Weight], int] = {}  # (dominant w, alpha) -> T(w + alpha, alpha)
+    for nu in sorted(dominant, key=lambda mu: sum(dominant[mu])):
+        for aw, _, coroot, _ in alphas:
+            # (nu + alpha, alpha) moved by simple reflections to (w, beta), w
+            # dominant: w(beta^vee) = nu(alpha^vee) + 2 > 0 makes beta positive
+            w, beta = tuple(map(add, nu, aw)), aw
+            while (i := next((i for i in rows if w[i] < 0), None)) is not None:
+                c, d = w[i], beta[i]
+                w = tuple(m - c * ri for m, ri in zip(w, rows[i]))
+                beta = tuple(m - d * ri for m, ri in zip(beta, rows[i]))
+            tails[nu, aw] = (mults[w] * (sum(map(mul, nu, coroot)) + 2) + tails[w, beta]
+                             if w in mults else 0)
+        if nu == lam:
+            continue
+        rhs = sum(nsq2 * tails[nu, aw] for aw, _, _, nsq2 in alphas)
+        x = (a + b + c for a, b, c in zip(lam, nu, two_rho_c))
+        denom = sum(ni * xi * di for ni, xi, di in zip(dominant[nu], x, diag))
+        if denom == 0:
+            raise StructuralError("vanishing denominator in multiplicity recursion")
+        val, rem = divmod(2 * rhs, denom)
+        if rem or val <= 0:
+            raise StructuralError(f"non-positive-integer multiplicity {Fraction(2 * rhs, denom)}")
+        mults[nu] = val
+    for mu, m in list(mults.items()):
+        for w in (orbit := [mu]):
+            for i, row in rows.items():
+                if (c := w[i]) > 0 and (v := tuple(a - c * ri for a, ri in zip(w, row))) not in mults:
+                    mults[v] = m
+                    orbit.append(v)
+    if mults.keys() != set(ws.weights):
+        raise StructuralError("the dominant weights' orbits are not the weight support")
+    return mults
 
 
 def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:

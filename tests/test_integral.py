@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -298,6 +299,35 @@ def test_long_decimal_lambda():
         values.append(_truncations(spec, DEFAULT_LADDER))
     for long, short in zip(*values):
         assert abs(long - short) <= math.ulp(short), (long, short)
+
+
+@pytest.mark.parametrize("digits", [300, 1000])
+def test_a_lambda_past_the_digit_budget_skips_the_ladder(digits, capsys):
+    # D = 10^digits: the ladder took 0.66 s at 300 digits and 5.4 s at 1 000;
+    # the verdict and the value come from closed forms and do not change
+    pr = pair_by_label("su44")
+    lam0 = extend_compact_coords(pr, [1] * 6)
+    lam = "-13." + "7" * digits
+    start = time.perf_counter()
+    code = cli.main(["integrate", "su44", "--lambda", lam, "--lambda0=1,1,1,1,1,1",
+                     "--output", "json"])
+    assert time.perf_counter() - start < 0.5
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["empirical"] == "not-run" and data["ladder"] == []
+    assert data["scalar_note"].startswith(
+        f"exponent denominator D of {digits + 1} digits above the ladder's budget (10^100)")
+    assert data["classification"] == "convergent"
+    assert data["formal_dimension_scalar"] == closed_form_integral(pr, lam0, Fraction(lam))
+
+
+def test_a_lambda_of_a_hundred_places_runs_its_ladder():
+    pr = pair_by_label("su33")
+    ws = weight_system(pr, extend_compact_coords(pr, (1, 0, 0, 0)))
+    spec = build_integrand(pr, ws, Fraction("-10." + "7" * 100), with_multiplicities=True)
+    rep = classify_convergence(spec)
+    assert rep.note is None and len(rep.truncated_values) == len(DEFAULT_LADDER)
+    assert rep.empirical_classification == "convergent"
 
 
 def test_integrate_reports_the_closed_form_far_below_the_threshold(capsys):

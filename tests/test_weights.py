@@ -1,13 +1,16 @@
 """Weight systems, multiplicities, and the maximality bound."""
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 
-from hdt.cascade import strongly_orthogonal_cascade, verify_rho_identities
-from hdt.hermitian import catalog, compact_nodes, pair_by_label
+from hdt.cascade import root_sum, strongly_orthogonal_cascade, verify_rho_identities
+from hdt.hermitian import catalog, compact_nodes, pair_by_label, partition_roots
+from hdt.rootsystem import StructuralError
 from hdt.weights import (
     compact_fundamental_weights,
     extend_compact_coords,
@@ -198,6 +201,97 @@ def test_multiplicities_sum_to_weyl_dimension(label, lam0, dim):
     ws = weight_system(pr, full)
     assert weyl_dimension(pr, full) == dim
     assert sum(weight_multiplicities(ws).values()) == dim
+
+
+def reference_multiplicities(ws):
+    """Freudenthal's recursion on every weight (the reference oracle for the
+    dominant-weight recursion): a breadth-first walk down the compact simple
+    roots from the highest weight, each weight's string sums run along the
+    strings from the weight above it, scaled by 4 to stay in integers."""
+    rs = ws.pair.root_system
+    lam = ws.highest
+    wset = set(ws.weights)
+    compact_pos = partition_roots(ws.pair).compact_pos
+    two_rho_c = rs.weight_coords(root_sum(rs, compact_pos))
+    alphas = [(rs.weight_coords(a), rs.coroot(a), rs.inner2(a, a)) for a in compact_pos]
+    diag = [rs.sym[i][i] for i in range(rs.rank)]
+    memo = {lam: 1}
+    # weight nu -> per compact positive root alpha, the alpha-string sum
+    # T(nu) = sum_(k >= 0) m(nu + k alpha) (nu + k alpha)(alpha^vee)
+    strings = {lam: [sum(map(mul, lam, coroot)) for _, coroot, _ in alphas]}
+    frontier = [(lam, (0,) * rs.rank)]
+    while frontier:
+        nxt = []
+        for mu, n in frontier:
+            for i in compact_nodes(ws.pair):
+                nu = tuple(m - c for m, c in zip(mu, rs.cartan[i]))
+                if nu not in wset or nu in memo:
+                    continue
+                n_nu = tuple(nj + (j == i) for j, nj in enumerate(n))
+                tail = [strings[up][k] if (up := tuple(map(add, nu, aw))) in strings else 0
+                        for k, (aw, _, _) in enumerate(alphas)]
+                rhs = sum(t * nsq2 for t, (_, _, nsq2) in zip(tail, alphas))
+                x = (a + b + c for a, b, c in zip(lam, nu, two_rho_c))
+                denom = sum(ni * xi * di for ni, xi, di in zip(n_nu, x, diag))
+                val, rem = divmod(2 * rhs, denom)
+                assert rem == 0 and val > 0, (nu, Fraction(2 * rhs, denom))
+                memo[nu] = val
+                strings[nu] = [val * sum(map(mul, nu, c)) + t for (_, c, _), t in zip(alphas, tail)]
+                nxt.append((nu, n_nu))
+        frontier = nxt
+    assert len(memo) == len(wset)
+    return memo
+
+
+def _oracle_lambda0s(pr):
+    """Lambda0 = 0, each compact fundamental weight, and three seeded random
+    Lambda0 with entries <= 3 and dim tau <= 20 000."""
+    k = len(compact_nodes(pr))
+    lam0s = [extend_compact_coords(pr, [0] * k), *compact_fundamental_weights(pr)]
+    rng = random.Random(pr.label)
+    while len(lam0s) < k + 4:
+        lam0 = extend_compact_coords(pr, [rng.randint(0, 3) for _ in range(k)])
+        if weyl_dimension(pr, lam0) <= 20_000:
+            lam0s.append(lam0)
+    return lam0s
+
+
+@pytest.mark.parametrize("label", [pr.label for pr in catalog()])
+def test_multiplicities_match_the_per_weight_recursion(label):
+    pr = pair_by_label(label)
+    for lam0 in _oracle_lambda0s(pr):
+        ws = weight_system(pr, lam0)
+        mults = weight_multiplicities(ws)
+        assert mults == reference_multiplicities(ws), lam0
+        assert sum(mults.values()) == weyl_dimension(pr, lam0), lam0
+
+
+def test_multiplicities_of_su44_twos():
+    # 40 401 weights, dim tau = 3^12: about 1.8 s of per-weight walk alone
+    code = (
+        "from hdt.hermitian import pair_by_label\n"
+        "from hdt.weights import extend_compact_coords, weight_multiplicities, weight_system\n"
+        "pr = pair_by_label('su44')\n"
+        "ws = weight_system(pr, extend_compact_coords(pr, [2] * 6))\n"
+        "print(len(ws.weights), sum(weight_multiplicities(ws).values()))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "40401 531441\n"
+
+
+@pytest.mark.parametrize("corrupt", ["weight-dropped", "weight-added"])
+def test_multiplicities_refuse_a_wrong_support(corrupt):
+    # the orbits of the dominant weights must make up the support exactly
+    pr = pair_by_label("su13")
+    ws = weight_system(pr, extend_compact_coords(pr, [1, 1]))
+    if corrupt == "weight-dropped":  # the lowest weight, which is not dominant
+        bad = ws._replace(weights=ws.weights[:-1])
+    else:
+        bad = ws._replace(weights=ws.weights + (tuple(c + 1 for c in ws.highest),))
+    with pytest.raises(StructuralError, match="orbits"):
+        weight_multiplicities(bad)
 
 
 def test_structure_integers_are_ints():
