@@ -4,10 +4,11 @@ The integrand is a sum over compact-part weights of products
 (1-x_j^2)^E_{s,j} times the restricted-root polynomial P(x), integrated over
 0 <= x_1 <= ... <= x_r <= 1-eps.  It converges iff every E_{s,j} > -1, which
 by the weight bound is the criterion `hc_condition`; an eps-ladder of
-truncations, run while dim tau is within MAX_TRACE_DIM and the rank within
-MAX_QUADRATURE_RANK, corroborates it numerically, and its exponent guides
-the threshold search.  A convergent integral's value is Harish-Chandra's
-formal-degree product, in closed form.
+truncations, run while dim tau is within MAX_TRACE_DIM, the rank within
+MAX_QUADRATURE_RANK and lambda's denominator within 10^MAX_LADDER_DIGITS,
+corroborates it numerically, and its exponent guides the threshold search.
+A convergent integral's value is Harish-Chandra's formal-degree product, in
+closed form.
 The ladder is exact: in v = 1 - x^2 the integrand is a sum of monomials
 times powers v_j^E_j, and the nested one-variable integrals of
 v^P (ln v)^k have closed forms, so a whole ladder is one table of integer
