@@ -1,6 +1,6 @@
 """The whole CLI surface against its golden sweep.
 
-`tools/cli_sweep.py` runs 729 CLI calls in process; the golden file holds
+`tools/cli_sweep.py` runs 735 CLI calls in process; the golden file holds
 their exit codes and outputs for the current code.  A change that alters an
 output regenerates it with
 

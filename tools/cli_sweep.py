@@ -30,7 +30,11 @@ subcommands can be swept:
 - as JSON at lambda = lambda_c - 3, the four multiplicity-heavy `integrate`
   calls of the benchmark's `quadrature` workload, whose rungs depend on
   every weight multiplicity: so2_8 at Lambda0 = 1,1,1,1, e7vii at
-  1,0,0,0,0,1, su33 at 2,2,2,2 and sp4 at 2,2,2.
+  1,0,0,0,0,1, su33 at 2,2,2,2 and sp4 at 2,2,2;
+- as JSON, `integrate` just below and at the threshold, lambda = lambda_c -
+  1/100 and lambda = lambda_c, for su22 at Lambda0 = 0,0, sp3 at 1,0 and sp4
+  at 1,1,1: the ladder's verdict where the integral only just converges and
+  where it diverges like a logarithm.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import gzip
 import io
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +101,12 @@ def sweep(main) -> list[dict]:
         probe = call(main, ["criterion", label, "--lambda", "0", lam0_arg, "--output", "json"])
         lam = Fraction(json.loads(probe["stdout"])["threshold"]) - 3
         run("integrate", label, "--lambda", str(lam), lam0_arg, "--output", "json")
+    for label, lam0 in (("su22", "0,0"), ("sp3", "1,0"), ("sp4", "1,1,1")):
+        lam0_arg = f"--lambda0={lam0}"
+        probe = call(main, ["criterion", label, "--lambda", "0", lam0_arg, "--output", "json"])
+        threshold = Decimal(json.loads(probe["stdout"])["threshold"])  # an integer here
+        for lam in (threshold - Decimal("0.01"), threshold):
+            run("integrate", label, "--lambda", str(lam), lam0_arg, "--output", "json")
     for seed in (1, 2, 3):
         run("verify", "all", "--seed", str(seed), "--output", "json")
     return records
