@@ -45,20 +45,29 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _finite_or_none(x: float) -> float | None:
-    return x if math.isfinite(x) else None
-
-
 class UsageError(Exception):
     pass
+
+
+def _check_length(name: str, text: str) -> None:
+    """Refuse a number longer than Python converts between int and str
+    (sys.get_int_max_str_digits(), 4 300 by default; 0 means no limit), before
+    parsing it: within that length, its exact value prints too."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text.strip()) > limit:
+        raise UsageError(f"{name} is {len(text.strip())} characters long; "
+                         f"at most {limit} are accepted")
 
 
 def _parse_lambda0(pair, text: str | None):
     if text is None:
         vals = [0] * len(compact_nodes(pair))
     else:
+        entries = text.split(",") if text.strip() else []
+        for v in entries:
+            _check_length("a lambda0 entry", v)
         try:
-            vals = [int(v) for v in text.split(",")] if text.strip() else []
+            vals = [int(v) for v in entries]
         except ValueError as exc:
             raise UsageError(f"lambda0 must be comma-separated integers: {exc}") from exc
     try:
@@ -71,6 +80,7 @@ def _parse_lambda(pair, lam0, text: str) -> Fraction:
     """--lambda as an exact decimal.  The margin threshold - lambda and the
     smallest exponent one below it print as doubles, so a lambda or Lambda0
     that puts them beyond the double range is refused."""
+    _check_length("lambda", text)
     try:
         lam = parse_decimal(text)
     except ValueError as exc:
@@ -264,9 +274,10 @@ def cmd_integrate(args) -> int:
             "empirical": report.empirical_classification,
             "min_exponent": min_exponent,
             "ladder": [{"eps": e, "estimate": v} for e, v in report.truncated_values],
-            # NaN when the ladder did not run; JSON has no NaN
-            "fitted_slope": _finite_or_none(report.fitted_slope),
-            "increment_exponent": _finite_or_none(report.increment_exponent),
+            # an exact rational as a string; null when the ladder did not run
+            "leading_exponent": (None if report.leading_exponent is None
+                                 else str(report.leading_exponent)),
+            "leading_log_power": report.leading_log_power,
             "formal_dimension_scalar": scalar,
             "scalar_note": note,
         }
@@ -283,8 +294,8 @@ def cmd_integrate(args) -> int:
         print("eps ladder (truncated integrals):")
         for e, v in report.truncated_values:
             print(f"  eps {e:<8g} estimate {fmt(v)}")
-        print(f"fitted log-log slope: {fmt(report.fitted_slope)}")
-        print(f"increment exponent estimate: {fmt(report.increment_exponent)}")
+        print(f"leading term: delta^({report.leading_exponent}) (ln delta)^"
+              f"{report.leading_log_power}, delta = 1 - (1-eps)^2")
         print(f"empirical classification: {report.empirical_classification}")
     print(f"classification: {classification}")
     if scalar is not None:

@@ -3,12 +3,13 @@
 The integrand is a sum over compact-part weights of products
 (1-x_j^2)^E_{s,j} times the restricted-root polynomial P(x), integrated over
 0 <= x_1 <= ... <= x_r <= 1-eps.  It converges iff every E_{s,j} > -1, which
-by the weight bound is the criterion `hc_condition`; an eps-ladder of
+by the weight bound is the criterion `hc_condition`.  An eps-ladder of
 truncations, run while dim tau is within MAX_TRACE_DIM, the rank within
 MAX_QUADRATURE_RANK and lambda's denominator within 10^MAX_LADDER_DIGITS,
-corroborates it numerically, and its exponent guides the threshold search.
-A convergent integral's value is Harish-Chandra's formal-degree product, in
-closed form.
+decides it again from the integral alone: the ladder's table is the truncated
+integral's whole expansion, and its leading singular term is the exact
+verdict and the exact step of the threshold search.  A convergent integral's
+value is Harish-Chandra's formal-degree product, in closed form.
 The ladder is exact: in v = 1 - x^2 the integrand is a sum of monomials
 times powers v_j^E_j, and the nested one-variable integrals of
 v^P (ln v)^k have closed forms, so a whole ladder is one table of integer
@@ -61,6 +62,8 @@ MAX_TRACE_DIM = 10_000
 # most 10^MAX_LADDER_DIGITS, so lambda has at most 100 decimal places: the
 # table's integers, and its cost, grow with D's length
 MAX_LADDER_DIGITS = 100
+# probes of empirical_threshold before it gives up; it needs at most three
+_MAX_PROBES = 10
 # significant digits every rung keeps after its cancellation
 _RUNG_DIGITS = 20
 # the working precision at which a rung stops rising: far above what any
@@ -78,9 +81,11 @@ class IntegralSpec(NamedTuple):
 
 class ConvergenceReport(NamedTuple):
     truncated_values: tuple[tuple[float, float], ...]  # (eps, estimate)
-    fitted_slope: float  # log-estimate vs log(1/eps), least squares
-    increment_exponent: float  # decade ratio of successive increments
-    empirical_classification: str  # convergent | divergent | boundary-indeterminate | not-run
+    # the leading singular term delta^x (ln delta)^k of the truncated integral
+    # as eps -> 0, x exact; None when the ladder did not run
+    leading_exponent: Fraction | None
+    leading_log_power: int | None
+    empirical_classification: str  # convergent | divergent | not-run
     note: str | None  # why the empirical part did not run
 
 
@@ -322,15 +327,6 @@ def build_integrand(
 # -- classification -----------------------------------------------------------
 
 
-_BOUNDARY_BAND = 0.01
-# an increment at or below this fraction of its rungs reads as converged to
-# full precision
-_INCREMENT_FLOOR = 1e-12
-# the ladder's last increment, between its two finest rungs, scales like
-# (second-finest eps)^delta and clears the floor only while delta stays below
-# this (3 on DEFAULT_LADDER); a larger |delta| is the converged sentinel or
-# the noise of a cancelling ladder, not a measured distance to the threshold
-_RESOLVED_EXPONENT = math.log10(_INCREMENT_FLOOR) / math.log10(sorted(DEFAULT_LADDER)[1])
 # truncations of a positive integrand never decrease as eps shrinks, and none
 # exceeds the full integral; each rung is exact to its last double, and the
 # full integral (from lgamma) to a few ulps (4.1e-15 relative at worst on the
@@ -338,30 +334,9 @@ _RESOLVED_EXPONENT = math.log10(_INCREMENT_FLOOR) / math.log10(sorted(DEFAULT_LA
 _MAX_FALL = 1e-12
 
 
-def _increment_exponent(values: list[float]) -> float:
-    """Exponent estimate from the decade ratio of successive increments.
-
-    For truncations of A + B eps^delta the increments scale like eps^delta,
-    so -log10 of the last increment ratio estimates delta = min E + 1 even
-    very close to the boundary.
-    """
-    if len(values) < 3:
-        raise ValueError("need at least three ladder points")
-    inc = [b - a for a, b in zip(values, values[1:])]
-    # an increment at rounding level relative to its own step means the
-    # truncations already converged to full precision; don't let noise
-    # into the ratio
-    floors = [_INCREMENT_FLOOR * max(abs(a), abs(b)) for a, b in zip(values, values[1:])]
-    if any(d <= f for d, f in zip(inc, floors)):
-        return 10.0
-    ratios = [b / a for a, b in zip(inc, inc[1:])]
-    return -math.log10(ratios[-1])
-
-
 def not_run(reason: str) -> ConvergenceReport:
     """The report of an eps ladder that did not run, and why."""
-    return ConvergenceReport((), math.nan, math.nan, "not-run",
-                             f"{reason}; analytic classification only")
+    return ConvergenceReport((), None, None, "not-run", f"{reason}; analytic classification only")
 
 
 def int_text(n: int) -> str:
@@ -385,16 +360,18 @@ def ladder_precheck(pair: HermitianPair, lambda0: Weight) -> str | None:
 
 def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
                          full: float | None = None) -> ConvergenceReport:
-    """The eps-ladder of truncated integrals, and the empirical verdict read
-    off it.
+    """The eps-ladder of truncated integrals, and the verdict read off its table.
 
-    The verdict comes from the increment-ratio exponent alone
-    (boundary-indeterminate inside a small band, not guessed); whether the
-    integral converges is the criterion's, not this report's.  Above the rank
-    cap, or when a rung leaves the double range, is not positive, falls as
-    eps shrinks or rises above `full` (the full integral, when known), it is
-    "not-run" and the note says why, as it is when D, the exponents' common
-    denominator, exceeds 10^MAX_LADDER_DIGITS.
+    The table is the truncated integral's whole expansion in delta; its
+    leading singular term, delta^x (ln delta)^k with the smallest x and then
+    the largest k over the terms other than the constant, is exact.  The
+    integral converges iff x > 0: a negative power or a logarithm (x = 0,
+    k >= 1) grows without bound.  The rungs are its values at eps_ladder, for
+    display and as checks.  Above the rank cap, or when a rung leaves the
+    double range, is not positive, falls as eps shrinks or rises above `full`
+    (the full integral, when known), the report is "not-run" and the note
+    says why, as it is when D, the exponents' common denominator, exceeds
+    10^MAX_LADDER_DIGITS.
     """
     if spec.r > MAX_QUADRATURE_RANK:
         return not_run(_RANK_CAP)
@@ -403,8 +380,9 @@ def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEF
         return not_run(f"exponent denominator D of {Decimal(big_d).adjusted() + 1} digits "
                        f"above the ladder's budget (10^{MAX_LADDER_DIGITS})")
     ladder = tuple(sorted(eps_ladder, reverse=True))
+    table, q, big_d = _ladder_table(spec)
     try:
-        values = _truncations(spec, ladder)
+        values = [_rung(table, q, big_d, e) for e in ladder]
     except IntegralOverflowError as exc:
         return not_run(str(exc))
     positive = all(v > 0 for v in values)
@@ -418,22 +396,10 @@ def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEF
             + ("are not all finite and positive" if not positive
                else "fall as eps shrinks" if falls else f"exceed the full integral {full:.3g}")
         )
-
-    logs = [math.log(v) for v in values]
-    xs = [math.log(1.0 / e) for e in ladder]
-    n = len(xs)
-    xbar, ybar = sum(xs) / n, sum(logs) / n
-    fitted = sum((x - xbar) * (y - ybar) for x, y in zip(xs, logs)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )
-    delta_hat = _increment_exponent(values)
-    if delta_hat > _BOUNDARY_BAND:
-        empirical = "convergent"
-    elif delta_hat < -_BOUNDARY_BAND:
-        empirical = "divergent"
-    else:
-        empirical = "boundary-indeterminate"
-    return ConvergenceReport(tuple(zip(ladder, values)), fitted, delta_hat, empirical, None)
+    # the smallest power, compared as integers over D, then the largest log power
+    p, neg_k = min((p, -k) for p, k in table if (p, k) != (0, 0))
+    empirical = "convergent" if p > 0 else "divergent"
+    return ConvergenceReport(tuple(zip(ladder, values)), Fraction(p, big_d), -neg_k, empirical, None)
 
 
 # the documented floor of the --eps range; no sweep runs below the ladder
@@ -475,65 +441,59 @@ def empirical_threshold(
     lambda0: Weight,
     tol: float = 0.05,
 ) -> float:
-    """Recover the critical lambda from the empirical verdict only.
+    """The critical lambda, exactly, from the integrals alone.
 
-    The criterion is deliberately not consulted; each probe
-    builds the unit-weight spec and reads the increment exponent d of its
-    DEFAULT_LADDER, convergent when d > 0.  The bracket starts
-    at lambda = -2 and doubles downward (or, if -2 converges, steps up
-    through 0, 4, 8, ...).  Inside it, a resolved d (|d| below
-    _RESOLVED_EXPONENT) is read as the distance lambda_c - lambda, since the
-    exponent falls by one per unit of lambda: the next probe sits tol/4 past
-    that estimate toward the farther end of the bracket, but no farther than
-    its midpoint, and at the midpoint when the estimate lies outside the
-    bracket.  A guided probe that fails to halve the bracket is followed by a
-    midpoint probe, so the search takes at most twice the probes of a
-    bisection.  Returns the midpoint of a bracket no wider than tol,
-    convergent at its lower end and divergent at its upper end.
+    The criterion is deliberately not consulted.  Each probe builds the
+    unit-weight spec at an exact lambda and reads the leading term
+    delta^x (ln delta)^k of its table (`classify_convergence`).  The search
+    starts at lambda = -2 and steps to lambda + x: every exponent E_j falls by
+    one per unit of lambda (Lambda_1(h_j) = 1 on every cascade coroot), and
+    the leading term of a convergent probe is delta^(min E + 1), so one step
+    lands on the threshold.  When a step leaves the bracket of probes read
+    convergent below and divergent above, the next probe is its midpoint.
+    The search returns the first lambda whose leading term is delta^0
+    (ln delta)^k, k >= 1: at most three probes on every rank <= 4 pair.
 
-    Raises ValueError unless tol is finite and positive, or when the bracket
-    reaches the spacing of doubles before it is tol wide, and ConfigurationError
-    before any probe when `ladder_precheck` refuses, if no bracket is found in
-    8 steps, or if a probe's ladder did not run (a rung beyond the double range).
+    That lambda is the threshold, with no further probe.  The table is the
+    truncated integral I(lambda, delta) exactly, so I diverges like
+    (ln delta)^k at the returned lambda_s, and the integral does not exist
+    there.  Below it, at lambda_s - h, h > 0, the integrand is the one at
+    lambda_s times prod_j v_j^h <= v_r^h, and the mass of the integrand at
+    lambda_s on the layer 2^-(m+1) <= v_r < 2^-m is at most
+    I(lambda_s, 2^-(m+1)), which the table bounds by A + B m^k.  So the
+    integral at lambda_s - h is at most sum_m 2^(-mh) (A + B m^k), finite:
+    it exists exactly for lambda < lambda_s.  A coefficient that vanishes at
+    some probe can only cost probes, never a wrong answer.
+
+    Returns the exact threshold as a float.  `tol` is validated and
+    otherwise unused: the exact answer meets any tolerance.
+
+    Raises ValueError unless tol is finite and positive, and
+    ConfigurationError before any probe when `ladder_precheck` refuses, when
+    a probe's ladder did not run (a rung beyond the double range), or when
+    _MAX_PROBES probes meet no logarithmic term.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if reason := ladder_precheck(pair, lambda0):
         raise ConfigurationError(f"eps ladder not run: {reason}")
     ws = weight_system(pair, lambda0)
-
-    def increment_exponent(lam: float) -> float:
+    lo, hi = -math.inf, math.inf  # the highest convergent and the lowest divergent probe
+    lam = Fraction(-2)
+    for _ in range(_MAX_PROBES):
         rep = classify_convergence(build_integrand(pair, ws, lam), DEFAULT_LADDER)
         if rep.empirical_classification == "not-run":
-            raise ConfigurationError(f"eps ladder not run at lambda = {lam}: {rep.note}")
-        return rep.increment_exponent
-
-    lo, hi = -math.inf, math.inf
-    lam, steps, guided, width = -2.0, 0, False, math.inf
-    while True:
-        d = increment_exponent(lam)
-        if d > 0.0:
+            raise ConfigurationError(f"eps ladder not run at lambda = {float(lam):.12g}: {rep.note}")
+        x = rep.leading_exponent
+        if x == 0:
+            return float(lam)
+        if x > 0:
             lo = lam
         else:
             hi = lam
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        if math.isinf(hi - lo):
-            steps += 1
-            if steps > 8:
-                raise ConfigurationError(
-                    f"no {'divergent' if d > 0.0 else 'convergent'} endpoint found")
-            lam = 2.0 * lam if d <= 0.0 else (0.0 if lam < 0.0 else lam + 4.0)
-            continue
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise ValueError(f"tol = {tol} is below the spacing of doubles at lambda = {mid}")
-        estimate = lam + d
-        # tol/4 past the estimate toward the farther end, but not past the midpoint
-        if estimate < mid:
-            target = min(estimate + 0.25 * tol, mid)
-        else:
-            target = max(estimate - 0.25 * tol, mid)
-        trusted = abs(d) < _RESOLVED_EXPONENT and not (guided and hi - lo > 0.5 * width)
-        guided = trusted and lo < target < hi
-        lam, width = (target if guided else mid), hi - lo
+        # a step away from the one end found so far stays inside the bracket
+        lam += x
+        if not lo < lam < hi:
+            lam = (lo + hi) / 2
+    raise ConfigurationError(f"no logarithmic term in {_MAX_PROBES} probes; the threshold "
+                             f"lies in [{float(lo):.12g}, {float(hi):.12g}]")

@@ -194,6 +194,31 @@ def test_lambda0_rules_give_one_message_on_every_path(capsys, coords, message, c
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("cmd", ["criterion", "integrate"])
+def test_a_number_longer_than_python_prints_is_refused_in_one_line(capsys, cmd):
+    # past sys.get_int_max_str_digits() (4 300) Python's own error named
+    # sys.set_int_max_str_digits(); with 4 299 or 4 300 decimal places the
+    # value parsed and then failed to print (exit 4)
+    import hdt.cli
+
+    limit = sys.get_int_max_str_digits()
+    for places in (limit - 4, limit - 3, limit - 1, limit, limit + 700):
+        lam = "-13." + "7" * places
+        code = hdt.cli.main([cmd, "su22", f"--lambda={lam}", "--output", "json"])
+        out, err = capsys.readouterr()
+        if len(lam) <= limit:
+            assert code == 0 and json.loads(out)["lambda"].startswith("-"), err
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: lambda is {len(lam)} characters long; at most {limit} are accepted\n"
+    entry = "1" * (limit + 1)
+    assert hdt.cli.main([cmd, "su22", "--lambda=-20", f"--lambda0={entry},0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: a lambda0 entry is {limit + 1} characters long; "
+                   f"at most {limit} are accepted\n")
+
+
 def test_cli_imports_only_numpy_and_the_standard_library():
     # start-up cost: `hdt` and `hdt verify numeric` load no other package;
     # cython_runtime and _cython_* are bookkeeping that numpy's compiled
@@ -367,13 +392,31 @@ def test_integrate_json():
 
 def test_integrate_json_without_ladder_is_strict_json():
     # above the rank cap (sp5) and above the trace budget (su22 with dim tau
-    # 10 001) the ladder does not run: its slope and exponent are null, not NaN
+    # 10 001) the ladder does not run: its leading term is null
     for args in (("sp5", "--lambda", "-20"), ("su22", "--lambda", "-20", "--lambda0", "10000,0")):
         res = run_cli("integrate", *args, "--output", "json")
         assert res.returncode == 0
         data = json.loads(res.stdout, parse_constant=_reject_constant)
         assert data["empirical"] == "not-run"
-        assert data["fitted_slope"] is None and data["increment_exponent"] is None
+        assert data["leading_exponent"] is None and data["leading_log_power"] is None
+
+
+def test_integrate_reports_the_exact_leading_term(capsys):
+    # sp(3) at Lambda0 = (1, 0): lambda_c = -4, so 3/8 below it the integral
+    # approaches its limit like delta^(3/8), and at lambda_c it diverges like ln delta
+    import hdt.cli
+
+    for lam, exponent, log_power, verdict in (("-4.375", "3/8", 0, "convergent"),
+                                              ("-4", "0", 1, "divergent")):
+        argv = ["integrate", "sp3", f"--lambda={lam}", "--lambda0=1,0"]
+        assert hdt.cli.main([*argv, "--output", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["leading_exponent"], data["leading_log_power"]) == (exponent, log_power)
+        assert data["empirical"] == data["classification"] == verdict
+        assert hdt.cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert (f"leading term: delta^({exponent}) (ln delta)^{log_power}, "
+                "delta = 1 - (1-eps)^2\n") in out
 
 
 @pytest.mark.parametrize("lam,verdict", [("-1000010", "convergent"), ("-10", "divergent")])

@@ -123,7 +123,8 @@ def test_classification_matches_criterion():
                 assert type(min_e) is Fraction and min_e == -off - 1, (pr.label, lam0, off)
                 cases += 1
     assert cases == 395
-    # empirical corroboration away from the boundary
+    # the same verdict from the ladder's table, one unit from the boundary:
+    # delta^1 below it, and a negative power above it
     for label in ("su11", "sp2", "su22"):
         pr = pair_by_label(label)
         ws = weight_system(pr, _zero(pr))
@@ -131,19 +132,31 @@ def test_classification_matches_criterion():
         below = classify_convergence(build_integrand(pr, ws, thr - 1))
         above = classify_convergence(build_integrand(pr, ws, thr + 1))
         assert below.empirical_classification == "convergent"
+        assert (below.leading_exponent, below.leading_log_power) == (1, 0)
         assert above.empirical_classification == "divergent"
-        assert above.fitted_slope > 0.5
+        assert above.leading_exponent <= -1
 
 
-def test_boundary_flagged_indeterminate():
-    pr = pair_by_label("su11")
-    ws = weight_system(pr, _zero(pr))
-    spec = build_integrand(pr, ws, -1)
+@pytest.mark.parametrize("label,coords", [
+    ("su11", ()), ("su22", (0, 0)), ("sp3", (1, 0)), ("sp4", (1, 1, 1)),
+], ids=["su11", "su22", "sp3", "sp4"])
+def test_boundary_is_a_logarithmic_divergence(label, coords):
+    # at the exact boundary min E = -1 and the criterion says divergent (a
+    # strict inequality); the table leads with delta^0 ln delta, a divergence
+    # that the decimal rungs alone could not tell from a slow convergence
+    pr = pair_by_label(label)
+    lam0 = extend_compact_coords(pr, coords)
+    thr = hc_threshold(pr, lam0)
+    spec = build_integrand(pr, weight_system(pr, lam0), thr)
+    assert min(min(row) for row in spec.exponents) == -1
+    assert not _exists(pr, lam0, thr)
     rep = classify_convergence(spec)
-    assert rep.empirical_classification == "boundary-indeterminate"
-    # at the exact boundary E = -1, and the verdict is divergent (strict inequality)
-    assert spec.exponents == ((-1,),)
-    assert not _exists(pr, _zero(pr), -1)
+    assert rep.empirical_classification == "divergent"
+    assert (rep.leading_exponent, rep.leading_log_power) == (0, 1)
+    # a hundredth below it the integral converges, approaching its limit like delta^(1/100)
+    rep = classify_convergence(build_integrand(pr, weight_system(pr, lam0), thr - Fraction(1, 100)))
+    assert rep.empirical_classification == "convergent"
+    assert (rep.leading_exponent, rep.leading_log_power) == (Fraction(1, 100), 0)
 
 
 def test_multiplicity_irrelevance():
@@ -495,14 +508,14 @@ def test_falling_ladder_is_lost_precision():
     assert rep.empirical_classification == "divergent"
     values = [v for _, v in rep.truncated_values]
     assert all(0 < a < b for a, b in zip(values, values[1:]))
-    assert rep.increment_exponent == pytest.approx(-0.5, abs=0.01)
+    assert (rep.leading_exponent, rep.leading_log_power) == (Fraction(-1, 2), 0)
 
 
 def test_lost_precision_is_a_typed_failure():
     # the sweep's su(3,3) ladder at lambda = 0 cancelled to a negative rung,
     # which stopped the search; the exact ladder lets it find 1 - p = -5
     pr = pair_by_label("su33")
-    assert abs(empirical_threshold(pr, _zero(pr)) - (-5.0)) <= 0.05
+    assert empirical_threshold(pr, _zero(pr)) == -5.0
 
 
 @pytest.mark.parametrize("label,lam0,lam", [
@@ -534,18 +547,18 @@ def test_cancelling_sp4_ladder_still_reads_divergent():
     assert rep.empirical_classification == "divergent" and rep.note is None
     values = [v for _, v in rep.truncated_values]
     assert all(0 < a < b for a, b in zip(values, values[1:]))
-    assert abs(empirical_threshold(pr, lam0) - (-7.0)) <= 0.05
+    assert empirical_threshold(pr, lam0) == -7.0
 
 
 def test_empirical_threshold_su11():
     thr = empirical_threshold(pair_by_label("su11"), (Fraction(0),))
-    assert abs(thr - (-1.0)) <= 0.05
+    assert type(thr) is float and thr == -1.0
 
 
 def test_empirical_threshold_su23():
     pr = pair_by_label("su23")
     thr = empirical_threshold(pr, _zero(pr))
-    assert abs(thr - (-4.0)) <= 0.05  # genus 5, scalar threshold 1 - p
+    assert thr == -4.0  # genus 5, scalar threshold 1 - p
 
 
 def test_lambda_zero_divergent_for_every_pair():
@@ -566,8 +579,8 @@ def test_rank_four_quadrature():
     ws = weight_system(pr, extend_compact_coords(pr, [0] * 6))
     rep = classify_convergence(build_integrand(pr, ws, -7.5))
     assert rep.empirical_classification == "convergent"
-    # the increment exponent estimates the distance to the threshold (-7)
-    assert rep.increment_exponent == pytest.approx(0.5, abs=0.02)
+    # the leading exponent is the distance to the threshold (-7)
+    assert (rep.leading_exponent, rep.leading_log_power) == (Fraction(1, 2), 0)
 
 
 def test_rank_cap_analytic_only():
@@ -635,10 +648,15 @@ def test_threshold_tol_must_be_finite_and_positive(monkeypatch, tol):
     assert probes == []
 
 
-def test_threshold_tol_below_the_spacing_of_doubles_is_refused():
-    # the bracket stops narrowing at one ulp, which is far wider than 1e-300
-    with pytest.raises(ValueError, match="spacing of doubles"):
-        empirical_threshold(pair_by_label("su11"), (Fraction(0),), tol=1e-300)
+def test_threshold_tol_below_the_spacing_of_doubles_is_met_exactly(monkeypatch):
+    # a bisection in doubles stops narrowing at one ulp, far wider than
+    # 1e-300; the exact search returns the threshold itself, in two probes
+    probes = _counting_probes(monkeypatch)
+    assert empirical_threshold(pair_by_label("su11"), (Fraction(0),), tol=1e-300) == -1.0
+    pr = pair_by_label("sp4")
+    lam0 = extend_compact_coords(pr, (1, 1, 1))
+    assert empirical_threshold(pr, lam0, tol=1e-300) == -7.0
+    assert len(probes) == 2 + 3
 
 
 # the ten cases of the benchmark's threshold workload; a bisection takes 108
@@ -653,14 +671,14 @@ def test_threshold_probe_budget(monkeypatch):
     probes = _counting_probes(monkeypatch)
     pr = pair_by_label("sp4")
     lam0 = extend_compact_coords(pr, (1, 1, 1))
-    assert abs(empirical_threshold(pr, lam0) - (-7.0)) <= 0.05
-    assert len(probes) <= 6
+    assert empirical_threshold(pr, lam0) == -7.0
+    assert len(probes) <= 3
     probes.clear()
     for label, coords in _BENCH_THRESHOLD_CASES:
         pr = pair_by_label(label)
         lam0 = extend_compact_coords(pr, coords)
-        assert abs(empirical_threshold(pr, lam0) - float(hc_threshold(pr, lam0))) <= 0.05
-    assert len(probes) <= 55
+        assert empirical_threshold(pr, lam0) == float(hc_threshold(pr, lam0))
+    assert len(probes) <= 20
 
 
 def _bisection_probes(convergent, tol: float) -> int:
@@ -679,23 +697,29 @@ def _bisection_probes(convergent, tol: float) -> int:
 
 
 @pytest.mark.parametrize("misread", [
-    lambda x: 10.0 * x ** 3,
-    lambda x: 1e-3 if x > 0.0 else -1e-3,
-], ids=["cubed", "tiny"])
+    lambda x: 10 * x ** 3,
+    lambda x: Fraction(1 if x > 0 else -1, 1000) if x else 0,
+    lambda x: 2 * x,
+], ids=["cubed", "tiny", "doubled"])
 @pytest.mark.parametrize("change", [-2.37, -13.3, 3.1])
 def test_threshold_search_ends_with_a_misread_distance(monkeypatch, misread, change):
-    # the increment exponent keeps its sign but misreads the distance
-    # change - lambda to the sign change; min E + 1 = -2 - lambda on sp(2)
+    # the leading exponent keeps its sign but misreads the distance
+    # change - lambda to the sign change (min E + 1 = -2 - lambda on sp(2)),
+    # and is a logarithm exactly at the change: the search returns it or
+    # gives up, within the probes of a bisection to 0.05
+    exact = Fraction(str(change))
+
     def report(spec):
-        min_e = float(min(min(row) for row in spec.exponents))
-        d = misread(min_e + 3.0 + change)
-        return ConvergenceReport((), math.nan, d, "convergent" if d > 0.0 else "divergent", None)
+        x = misread(min(min(row) for row in spec.exponents) + 3 + exact)
+        return ConvergenceReport((), x, 0 if x else 1, "convergent" if x > 0 else "divergent", None)
 
     probes = _counting_probes(monkeypatch, report)
     pr = pair_by_label("sp2")
-    thr = empirical_threshold(pr, _zero(pr))
-    assert abs(thr - change) <= 0.025
-    assert len(probes) <= 2 * _bisection_probes(lambda lam: lam < change, 0.05)
+    try:
+        assert empirical_threshold(pr, _zero(pr)) == change
+    except ConfigurationError as exc:
+        assert str(exc).startswith("no logarithmic term in 10 probes")
+    assert len(probes) <= _bisection_probes(lambda lam: lam < change, 0.05)
 
 
 @pytest.mark.parametrize("label,fundamental", [
@@ -706,17 +730,43 @@ def test_thresholds_whose_lambda_zero_ladder_cancels(label, fundamental):
     # no longer ends it
     pr = pair_by_label(label)
     lam0 = _zero(pr) if fundamental is None else compact_fundamental_weights(pr)[fundamental]
-    assert abs(empirical_threshold(pr, lam0) - float(hc_threshold(pr, lam0))) <= 0.05
+    assert empirical_threshold(pr, lam0) == float(hc_threshold(pr, lam0))
 
 
-def test_empirical_threshold_every_rank_four_pair():
-    # no probe ladder cancels: the search finds 1 - p - Lambda0 terms on every
-    # pair inside the rank cap
+def _rank_four_cases():
+    """Every pair inside the rank cap, at Lambda0 = 0 and its first two
+    compact fundamental weights: 106 cases."""
     for pr in catalog():
         if restricted_root_data(pr).r > MAX_QUADRATURE_RANK:
             continue
-        lam0 = _zero(pr)
-        assert abs(empirical_threshold(pr, lam0) - float(hc_threshold(pr, lam0))) <= 0.05, pr.label
+        for lam0 in dict.fromkeys((_zero(pr), *compact_fundamental_weights(pr)[:2])):
+            yield pr, lam0
+
+
+def test_empirical_threshold_every_rank_four_pair():
+    # no probe ladder cancels: the search finds 1 - p - Lambda0(h_r) exactly
+    # on every case inside the rank cap, never consulting the criterion
+    cases = 0
+    for pr, lam0 in _rank_four_cases():
+        assert empirical_threshold(pr, lam0) == float(hc_threshold(pr, lam0)), (pr.label, lam0)
+        cases += 1
+    assert cases == 106
+
+
+def test_leading_term_is_the_distance_to_the_threshold():
+    # below the threshold the table leads with delta^(lambda_c - lambda), and
+    # at it with delta^0 ln delta: 318 exact equalities
+    cases = 0
+    for pr, lam0 in _rank_four_cases():
+        ws = weight_system(pr, lam0)
+        thr = hc_threshold(pr, lam0)
+        for off, term in ((Fraction(1, 100), (Fraction(1, 100), 0)),
+                          (Fraction(7, 3), (Fraction(7, 3), 0)), (0, (0, 1))):
+            rep = classify_convergence(build_integrand(pr, ws, thr - off))
+            assert (rep.leading_exponent, rep.leading_log_power) == term, (pr.label, lam0, off)
+            assert type(rep.leading_exponent) is Fraction
+            cases += 1
+    assert cases == 318
 
 
 def test_agreement_sign_with_criterion():

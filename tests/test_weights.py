@@ -90,8 +90,8 @@ def test_lambda_one_definition():
 
 def test_lambda_one_on_cascade_coroots():
     # every exponent E_{s,j} then falls by one per unit of lambda, the unit
-    # slope that lets empirical_threshold read the increment exponent as the
-    # distance to the threshold
+    # slope that lets empirical_threshold step by the leading exponent to the
+    # threshold, and that certifies the threshold it returns
     for pr in catalog():
         rs = pr.root_system
         lam1 = lambda_one(pr)
