@@ -23,7 +23,7 @@ from .hermitian import catalog, compact_nodes, dim_p_plus, pair_by_label, partit
 from .integral import (DEFAULT_LADDER, MIN_EPS, build_integrand, classify_convergence,
                        closed_form_integral, int_text, ladder_precheck, not_run)
 from .suite import run_suite
-from .weights import extend_compact_coords, weight_system, weyl_dimension
+from .weights import extend_compact_coords, weight_multiplicities, weyl_dimension
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -254,11 +254,9 @@ def cmd_integrate(args) -> int:
     if scalar is not None and not 0.0 < scalar < math.inf:
         full = scalar = None  # the value is beyond the double range
     if reason := ladder_precheck(pair, lam0):
-        ws, report = None, not_run(reason)
+        report = not_run(reason)
     else:
-        ws = weight_system(pair, lam0)
-        spec = build_integrand(pair, ws, lam, with_multiplicities=True)
-        report = classify_convergence(spec, ladder, full=full)
+        report = classify_convergence(build_integrand(pair, lam0, lam), ladder, full=full)
     if scalar is None:
         extra = _RANGE_NOTE if verdict.exists else None
     else:
@@ -285,8 +283,8 @@ def cmd_integrate(args) -> int:
         return EXIT_OK
 
     print(f"pair {pair.label}  lambda {lam}  rank r = {rd.r}  genus p = {rd.p}")
-    size = (f"weights in trace: {len(ws.weights)}" if ws
-            else f"dim tau: {int_text(weyl_dimension(pair, lam0))}")
+    size = (f"dim tau: {int_text(weyl_dimension(pair, lam0))}" if reason
+            else f"weights in trace: {len(weight_multiplicities(pair, lam0))}")
     print(f"{size}  min exponent: {fmt(min_exponent)}")
     if report.empirical_classification == "not-run":
         print(report.note)

@@ -31,15 +31,7 @@ from typing import NamedTuple
 from .cascade import restricted_root_data, strongly_orthogonal_cascade
 from .criterion import HighestWeightInput, as_exact, hc_condition_original
 from .hermitian import HermitianPair
-from .weights import (
-    KssWeightSystem,
-    Weight,
-    lambda_one,
-    weight_multiplicities,
-    weight_on_coroot,
-    weight_system,
-    weyl_dimension,
-)
+from .weights import Weight, lambda_one, weight_multiplicities, weight_on_coroot, weyl_dimension
 
 
 class IntegralOverflowError(ArithmeticError):
@@ -295,17 +287,13 @@ def integrate(spec: IntegralSpec, eps: float) -> float:
 # -- integrand construction --------------------------------------------------
 
 
-def build_integrand(
-    pair: HermitianPair,
-    ws: KssWeightSystem,
-    lam,
-    with_multiplicities: bool = False,
-) -> IntegralSpec:
-    """Exponent table E_{s,j} = -(Lambda^s + lambda Lambda_1)(h_j) - p.
+def build_integrand(pair: HermitianPair, lambda0: Weight, lam) -> IntegralSpec:
+    """Exponent table E_{s,j} = -(Lambda^s + lambda Lambda_1)(h_j) - p over
+    the weights Lambda^s of tau_lambda0, from `weight_multiplicities`.
 
     One exact row per distinct E_{s,j}; its multiplicity sums the weight
-    multiplicities (or counts the weights, with unit weights) over the
-    weights that share it.  Rows keep the order of first occurrence.
+    multiplicities over the weights that share it.  Rows keep the order of
+    first occurrence.
     """
     rs = pair.root_system
     rd = restricted_root_data(pair)
@@ -315,11 +303,10 @@ def build_integrand(
 
     # E_{s,j} = shift_j - Lambda^s(h_j); integer pairings from the coroot table
     shift = [-lam_exact * weight_on_coroot(rs, lam1, g) - rd.p for g in gammas]
-    mults = weight_multiplicities(ws) if with_multiplicities else None
     rows: dict[tuple[int, ...], int] = {}
-    for mu in ws.weights:
+    for mu, mult in weight_multiplicities(pair, lambda0).items():
         key = tuple(weight_on_coroot(rs, mu, g) for g in gammas)
-        rows[key] = rows.get(key, 0) + (mults[mu] if mults else 1)
+        rows[key] = rows.get(key, 0) + mult
     exponents = tuple(tuple(s - m for s, m in zip(shift, k)) for k in rows)
     return IntegralSpec(rd.r, rd.a, rd.b, exponents, tuple(rows.values()))
 
@@ -444,12 +431,13 @@ def empirical_threshold(
     """The critical lambda, exactly, from the integrals alone.
 
     The criterion is deliberately not consulted.  Each probe builds the
-    unit-weight spec at an exact lambda and reads the leading term
-    delta^x (ln delta)^k of its table (`classify_convergence`).  The search
-    starts at lambda = -2 and steps to lambda + x: every exponent E_j falls by
-    one per unit of lambda (Lambda_1(h_j) = 1 on every cascade coroot), and
-    the leading term of a convergent probe is delta^(min E + 1), so one step
-    lands on the threshold.  When a step leaves the bracket of probes read
+    integrand at an exact lambda and reads the leading term
+    delta^x (ln delta)^k of its table (`classify_convergence`); the trace
+    sum_s m_s I_s has positive terms, so no multiplicity m_s moves that term.
+    The search starts at lambda = -2 and steps to lambda + x: every exponent
+    E_j falls by one per unit of lambda (Lambda_1(h_j) = 1 on every cascade
+    coroot), and the leading term of a convergent probe is delta^(min E + 1),
+    so one step lands on the threshold.  When a step leaves the bracket of probes read
     convergent below and divergent above, the next probe is its midpoint.
     The search returns the first lambda whose leading term is delta^0
     (ln delta)^k, k >= 1: at most three probes on every rank <= 4 pair.
@@ -477,11 +465,10 @@ def empirical_threshold(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if reason := ladder_precheck(pair, lambda0):
         raise ConfigurationError(f"eps ladder not run: {reason}")
-    ws = weight_system(pair, lambda0)
     lo, hi = -math.inf, math.inf  # the highest convergent and the lowest divergent probe
     lam = Fraction(-2)
     for _ in range(_MAX_PROBES):
-        rep = classify_convergence(build_integrand(pair, ws, lam), DEFAULT_LADDER)
+        rep = classify_convergence(build_integrand(pair, lambda0, lam), DEFAULT_LADDER)
         if rep.empirical_classification == "not-run":
             raise ConfigurationError(f"eps ladder not run at lambda = {float(lam):.12g}: {rep.note}")
         x = rep.leading_exponent

@@ -5,11 +5,12 @@ A weight is a tuple of integer values on the simple coroots
 integer dot product against the coroot table of `rootsystem`.  rho and the
 Weyl dimension are integers too: a remainder in halving or dividing them
 is a StructuralError.  One function, `_validate_lambda0`, checks every
-highest weight Lambda0.  Weights of compact-part irreducibles are
-generated by string saturation from the highest weight.  Multiplicities
-come from Freudenthal's recursion on the dominant weights alone, each
-carried over its compact Weyl group orbit (`weight_multiplicities`); they
-weight the trace of the eps ladder and never change a convergence verdict.
+highest weight Lambda0.  Multiplicities come from Freudenthal's recursion
+on the dominant weights alone, each carried over its compact Weyl group
+orbit, from Lambda0 alone (`weight_multiplicities`); their sum is checked
+against the Weyl dimension.  They are the one source of the eps ladder's
+trace, and never change a convergence verdict.  String saturation from
+the highest weight (`weight_system`) serves the weight bound and the tests.
 """
 
 from __future__ import annotations
@@ -122,8 +123,20 @@ def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
 
 
 @lru_cache(maxsize=None)
-def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
-    """Multiplicity of every weight of the compact-part irreducible.
+def _compact_roots(pair: HermitianPair) -> tuple[Weight, tuple]:
+    """2 rho_c in weight coordinates, and per compact positive root alpha its
+    weight coordinates, its simple-root coordinates, its coroot and
+    2(alpha|alpha)."""
+    rs = pair.root_system
+    compact_pos = partition_roots(pair).compact_pos
+    return (rs.weight_coords(root_sum(rs, compact_pos)),
+            tuple((rs.weight_coords(a), a, rs.coroot(a), rs.inner2(a, a)) for a in compact_pos))
+
+
+@lru_cache(maxsize=None)
+def weight_multiplicities(pair: HermitianPair, lambda0: Weight) -> dict[Weight, int]:
+    """Multiplicity of every weight of the compact-part irreducible with
+    highest weight lambda0, from lambda0 alone.
 
     Freudenthal's formula (lam - nu | lam + nu + 2 rho_c) m(nu) =
     2 sum_(alpha, k >= 1) m(nu + k alpha) (nu + k alpha | alpha) is used scaled
@@ -138,15 +151,15 @@ def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
     (nu + alpha, alpha) moved into the dominant chamber: beta is positive and
     w lies above nu, so that tail was kept when w was reached, and each
     (dominant weight, root) costs one step.  Simple reflections then carry
-    each multiplicity over its W_c-orbit; the orbits must make up `ws.weights`
-    exactly, or StructuralError is raised.  Cached per weight system.
+    each multiplicity over its W_c-orbit (Moody and Patera, Bull. AMS 7
+    (1982)).  The multiplicities must sum to `weyl_dimension`, an independent
+    closed form, or StructuralError is raised.  lambda0 is checked as
+    `_validate_lambda0` does; cached per (pair, lambda0).
     """
-    rs = ws.pair.root_system
-    lam = ws.highest
-    rows = {i: rs.cartan[i] for i in compact_nodes(ws.pair)}
-    compact_pos = partition_roots(ws.pair).compact_pos
-    two_rho_c = rs.weight_coords(root_sum(rs, compact_pos))
-    alphas = [(rs.weight_coords(a), a, rs.coroot(a), rs.inner2(a, a)) for a in compact_pos]
+    lam = _validate_lambda0(pair, lambda0)
+    rs = pair.root_system
+    rows = {i: rs.cartan[i] for i in compact_nodes(pair)}
+    two_rho_c, alphas = _compact_roots(pair)
     diag = [rs.sym[i][i] for i in range(rs.rank)]
     dominant = {lam: (0,) * rs.rank}  # dominant weight mu -> n of lam - mu
     for mu in (todo := [lam]):
@@ -185,14 +198,14 @@ def weight_multiplicities(ws: KssWeightSystem) -> dict[Weight, int]:
                 if (c := w[i]) > 0 and (v := tuple(a - c * ri for a, ri in zip(w, row))) not in mults:
                     mults[v] = m
                     orbit.append(v)
-    if mults.keys() != set(ws.weights):
-        raise StructuralError("the dominant weights' orbits are not the weight support")
+    if (total := sum(mults.values())) != (dim := weyl_dimension(pair, lam)):
+        raise StructuralError(f"multiplicities sum to {total}, not the Weyl dimension {dim}")
     return mults
 
 
 def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:
     """Multiplicity of mu in the compact-part irreducible."""
-    m = weight_multiplicities(ws).get(tuple(mu))
+    m = weight_multiplicities(ws.pair, ws.highest).get(tuple(mu))
     if m is None:
         raise ValueError("mu is not a weight of this representation")
     return m
@@ -201,14 +214,12 @@ def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:
 def weyl_dimension(pair: HermitianPair, lambda0: Weight) -> int:
     # dim tau_lambda0 = prod (lam + rho_c | alpha) / (rho_c | alpha) over the
     # compact positive roots, each ratio read on alpha^vee; no weight is built
-    rs = pair.root_system
-    compact_pos = partition_roots(pair).compact_pos
-    two_rho_c = rs.weight_coords(root_sum(rs, compact_pos))
+    two_rho_c, alphas = _compact_roots(pair)
     shifted = tuple(2 * c + t for c, t in zip(lambda0, two_rho_c))
     num = den = 1
-    for alpha in compact_pos:
-        num *= weight_on_coroot(rs, shifted, alpha)
-        den *= weight_on_coroot(rs, two_rho_c, alpha)
+    for _, _, coroot, _ in alphas:
+        num *= sum(map(mul, shifted, coroot))
+        den *= sum(map(mul, two_rho_c, coroot))
     dim, rem = divmod(num, den)
     if rem:
         raise StructuralError(f"{pair.name}: Weyl dimension {num}/{den} is not an integer")

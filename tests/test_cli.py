@@ -430,7 +430,7 @@ def test_integrate_above_the_trace_budget_enumerates_nothing(monkeypatch, capsys
     def refuse(*args, **kwargs):
         raise AssertionError("weights enumerated")
 
-    monkeypatch.setattr(hdt.cli, "weight_system", refuse)
+    monkeypatch.setattr(hdt.cli, "weight_multiplicities", refuse)
     monkeypatch.setattr(hdt.integral, "weight_multiplicities", refuse)
     argv = ["integrate", "su22", "--lambda", lam, "--lambda0", "1000000,0"]
     assert hdt.cli.main([*argv, "--output", "json"]) == 0
@@ -461,7 +461,7 @@ def test_integrate_above_the_rank_cap_enumerates_nothing(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("weights enumerated")
 
-    monkeypatch.setattr(hdt.cli, "weight_system", refuse)
+    monkeypatch.setattr(hdt.cli, "weight_multiplicities", refuse)
     monkeypatch.setattr(hdt.integral, "weight_multiplicities", refuse)
     argv = ["integrate", "sp5", "--lambda", "-20", "--lambda0", "1,0,0,0"]
     note = "rank above quadrature cap (4); analytic classification only"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdt import cli
-from hdt.cascade import restricted_root_data
+from hdt.cascade import restricted_root_data, strongly_orthogonal_cascade
 from hdt.criterion import HighestWeightInput, hc_condition, hc_threshold
 from hdt.hermitian import catalog, pair_by_label
 from hdt.integral import (
@@ -36,13 +36,29 @@ from hdt.integral import (
 from hdt.weights import (
     compact_fundamental_weights,
     extend_compact_coords,
+    lambda_one,
     weight_multiplicities,
+    weight_on_coroot,
     weight_system,
 )
 
 
 def _zero(pair):
     return extend_compact_coords(pair, [0] * (pair.root_system.rank - 1))
+
+
+def _unit_weight_spec(pair, weights, lam):
+    """The integrand over the given weights, each counted once: the oracle
+    for a trace without multiplicities, E_{s,j} = -(Lambda^s + lambda
+    Lambda_1)(h_j) - p from the saturated support."""
+    rs, rd = pair.root_system, restricted_root_data(pair)
+    gammas = strongly_orthogonal_cascade(pair).gammas
+    shift = [-Fraction(lam) * weight_on_coroot(rs, lambda_one(pair), g) - rd.p for g in gammas]
+    rows: dict[tuple, int] = {}
+    for mu in weights:
+        key = tuple(s - weight_on_coroot(rs, mu, g) for s, g in zip(shift, gammas))
+        rows[key] = rows.get(key, 0) + 1
+    return IntegralSpec(rd.r, rd.a, rd.b, tuple(rows), tuple(rows.values()))
 
 
 def _spec_r1(exponent, b=0):
@@ -83,11 +99,10 @@ def test_truncated_log_divergence():
 
 def test_build_integrand_su11():
     pr = pair_by_label("su11")
-    ws = weight_system(pr, _zero(pr))
-    spec = build_integrand(pr, ws, -2)
+    spec = build_integrand(pr, _zero(pr), -2)
     assert spec.exponents == ((0.0,),)
     assert spec.exponents == ((Fraction(0),),)
-    spec = build_integrand(pr, ws, 0)
+    spec = build_integrand(pr, _zero(pr), 0)
     assert spec.exponents == ((-2.0,),)
 
 
@@ -95,9 +110,8 @@ def test_scalar_case_exponents_uniform():
     for label in ("sp2", "sostar8", "e7vii"):
         pr = pair_by_label(label)
         rd = restricted_root_data(pr)
-        ws = weight_system(pr, _zero(pr))
         lam = Fraction(-7, 2)
-        spec = build_integrand(pr, ws, lam)
+        spec = build_integrand(pr, _zero(pr), lam)
         expected = float(-lam - rd.p)
         assert all(e == expected for row in spec.exponents for e in row)
 
@@ -113,10 +127,9 @@ def test_classification_matches_criterion():
     cases = 0
     for pr in catalog():
         for lam0 in dict.fromkeys((_zero(pr), *compact_fundamental_weights(pr)[:1])):
-            ws = weight_system(pr, lam0)
             thr = hc_threshold(pr, lam0)
             for off in (-1, Fraction(-1, 4), 0, Fraction(1, 4), 1):
-                spec = build_integrand(pr, ws, thr + off)
+                spec = build_integrand(pr, lam0, thr + off)
                 finite = all(e > -1 for row in spec.exponents for e in row)
                 assert finite == _exists(pr, lam0, thr + off), (pr.label, lam0, off)
                 min_e = min(min(row) for row in spec.exponents)
@@ -127,10 +140,9 @@ def test_classification_matches_criterion():
     # delta^1 below it, and a negative power above it
     for label in ("su11", "sp2", "su22"):
         pr = pair_by_label(label)
-        ws = weight_system(pr, _zero(pr))
         thr = hc_threshold(pr, _zero(pr))
-        below = classify_convergence(build_integrand(pr, ws, thr - 1))
-        above = classify_convergence(build_integrand(pr, ws, thr + 1))
+        below = classify_convergence(build_integrand(pr, _zero(pr), thr - 1))
+        above = classify_convergence(build_integrand(pr, _zero(pr), thr + 1))
         assert below.empirical_classification == "convergent"
         assert (below.leading_exponent, below.leading_log_power) == (1, 0)
         assert above.empirical_classification == "divergent"
@@ -147,34 +159,39 @@ def test_boundary_is_a_logarithmic_divergence(label, coords):
     pr = pair_by_label(label)
     lam0 = extend_compact_coords(pr, coords)
     thr = hc_threshold(pr, lam0)
-    spec = build_integrand(pr, weight_system(pr, lam0), thr)
+    spec = build_integrand(pr, lam0, thr)
     assert min(min(row) for row in spec.exponents) == -1
     assert not _exists(pr, lam0, thr)
     rep = classify_convergence(spec)
     assert rep.empirical_classification == "divergent"
     assert (rep.leading_exponent, rep.leading_log_power) == (0, 1)
     # a hundredth below it the integral converges, approaching its limit like delta^(1/100)
-    rep = classify_convergence(build_integrand(pr, weight_system(pr, lam0), thr - Fraction(1, 100)))
+    rep = classify_convergence(build_integrand(pr, lam0, thr - Fraction(1, 100)))
     assert rep.empirical_classification == "convergent"
     assert (rep.leading_exponent, rep.leading_log_power) == (Fraction(1, 100), 0)
 
 
 def test_multiplicity_irrelevance():
     # positive integer multiplicities cannot change finiteness: the weighted
-    # trace has the same exponent rows, and the ladders read the same verdict
+    # trace has the same exponent rows as the unit-weight one, and the
+    # ladders read the same verdict and the same leading term
     pr = pair_by_label("su13")
     lam0 = extend_compact_coords(pr, [1, 1])  # adjoint: has a multiplicity-2 weight
     ws = weight_system(pr, lam0)
     thr = hc_threshold(pr, lam0)
-    for lam in (thr - 1, thr + 1):
-        plain = build_integrand(pr, ws, lam)
-        weighted = build_integrand(pr, ws, lam, with_multiplicities=True)
-        assert weighted.exponents == plain.exponents
-        assert sum(weighted.multiplicities) == 8 > sum(plain.multiplicities) == 7
-        assert all(w >= u >= 1 for w, u in zip(weighted.multiplicities, plain.multiplicities))
-        assert (classify_convergence(plain).empirical_classification
-                == classify_convergence(weighted).empirical_classification
+    for lam in (thr - 1, thr, thr + 1):
+        plain = _unit_weight_spec(pr, ws.weights, lam)
+        weighted = build_integrand(pr, lam0, lam)
+        unit = dict(zip(plain.exponents, plain.multiplicities))
+        mult = dict(zip(weighted.exponents, weighted.multiplicities))
+        assert mult.keys() == unit.keys() and len(weighted.exponents) == len(plain.exponents)
+        assert sum(mult.values()) == 8 > sum(unit.values()) == 7
+        assert all(mult[e] >= unit[e] >= 1 for e in mult)
+        rep_plain, rep_weighted = classify_convergence(plain), classify_convergence(weighted)
+        assert (rep_plain.empirical_classification == rep_weighted.empirical_classification
                 == ("convergent" if _exists(pr, lam0, lam) else "divergent"))
+        assert ((rep_plain.leading_exponent, rep_plain.leading_log_power)
+                == (rep_weighted.leading_exponent, rep_weighted.leading_log_power)), lam
 
 
 @pytest.mark.parametrize("label,lam0,rows,dim", [
@@ -185,11 +202,11 @@ def test_build_integrand_groups_rows(label, lam0, rows, dim):
     # one row per distinct exponent row, carrying the summed multiplicities
     pr = pair_by_label(label)
     ws = weight_system(pr, extend_compact_coords(pr, lam0))
-    spec = build_integrand(pr, ws, -20, with_multiplicities=True)
+    spec = build_integrand(pr, ws.highest, -20)
     assert len(spec.exponents) == len(set(spec.exponents)) == rows
     assert sum(spec.multiplicities) == dim
-    plain = build_integrand(pr, ws, -20)
-    assert plain.exponents == spec.exponents
+    plain = _unit_weight_spec(pr, ws.weights, -20)
+    assert len(plain.exponents) == rows and set(plain.exponents) == set(spec.exponents)
     assert sum(plain.multiplicities) == len(ws.weights)
 
 
@@ -197,12 +214,12 @@ def test_grouped_integral_is_the_weighted_trace():
     # the grouped spec against the trace taken one weight at a time
     pr = pair_by_label("e7vii")
     ws = weight_system(pr, extend_compact_coords(pr, (1, 0, 0, 0, 0, 1)))
-    grouped = build_integrand(pr, ws, -24, with_multiplicities=True)
+    grouped = build_integrand(pr, ws.highest, -24)
     assert len(grouped.exponents) < len(ws.weights)
-    mults = weight_multiplicities(ws)
+    mults = weight_multiplicities(pr, ws.highest)
     trace = 0.0
     for mu in ws.weights:
-        one = build_integrand(pr, ws._replace(weights=(mu,)), -24)
+        one = _unit_weight_spec(pr, (mu,), -24)
         assert one.multiplicities == (1,)
         trace += mults[mu] * integrate(one, 1e-3)
     assert integrate(grouped, 1e-3) == pytest.approx(trace, rel=1e-12)
@@ -231,9 +248,8 @@ def test_closed_form_matches_the_finest_rung():
             continue
         fundamentals = compact_fundamental_weights(pr)
         for lam0 in dict.fromkeys((_zero(pr), *fundamentals[:1], *fundamentals[-1:])):
-            ws = weight_system(pr, lam0)
             for lam in (hc_threshold(pr, lam0) - 4, hc_threshold(pr, lam0) - Fraction(9, 2)):
-                spec = build_integrand(pr, ws, lam, with_multiplicities=True)
+                spec = build_integrand(pr, lam0, lam)
                 quad = integrate(spec, min(DEFAULT_LADDER))
                 exact = closed_form_integral(pr, lam0, lam)
                 assert abs(quad - exact) <= 1e-8 * exact, (pr.label, lam0, lam, quad, exact)
@@ -251,7 +267,7 @@ def test_limit_is_the_closed_form():
             continue
         for lam0 in dict.fromkeys((_zero(pr), *compact_fundamental_weights(pr)[:1])):
             lam = hc_threshold(pr, lam0) - 3
-            spec = build_integrand(pr, weight_system(pr, lam0), lam, with_multiplicities=True)
+            spec = build_integrand(pr, lam0, lam)
             table, q, _ = _ladder_table(spec)
             exact = closed_form_integral(pr, lam0, lam)
             assert abs(table[0, 0] / q - exact) <= 1e-13 * exact, (pr.label, lam0)
@@ -270,8 +286,7 @@ def test_rungs_do_not_move_with_twenty_more_digits(monkeypatch):
     specs = []
     for label, coords, lam in cases:
         pr = pair_by_label(label)
-        ws = weight_system(pr, extend_compact_coords(pr, coords))
-        specs.append(build_integrand(pr, ws, lam, with_multiplicities=True))
+        specs.append(build_integrand(pr, extend_compact_coords(pr, coords), lam))
     before = [_truncations(spec, DEFAULT_LADDER) for spec in specs]
     monkeypatch.setattr(integral, "_RUNG_DIGITS", integral._RUNG_DIGITS + 20)
     for case, spec, values in zip(cases, specs, before):
@@ -283,7 +298,7 @@ def test_log_branch_su11():
     # su11 at lambda = -1 has E = -1, so d = 0 at the one step: every rung is
     # (1/2) int_delta^1 dv / v = -ln(delta) / 2
     pr = pair_by_label("su11")
-    spec = build_integrand(pr, weight_system(pr, _zero(pr)), -1)
+    spec = build_integrand(pr, _zero(pr), -1)
     assert _ladder_table(spec) == ({(0, 1): -1}, 2, 1)
     for eps, value in zip(DEFAULT_LADDER, _truncations(spec, DEFAULT_LADDER)):
         assert value == pytest.approx(-0.5 * math.log(eps * (2.0 - eps)), rel=1e-15)
@@ -305,10 +320,10 @@ def test_long_decimal_lambda():
     # a lambda with a 300-digit fraction scales every exponent by D = 10^300;
     # its rungs are those of lambda cut to 40 digits, to the last double
     pr = pair_by_label("su33")
-    ws = weight_system(pr, extend_compact_coords(pr, (1, 0, 0, 0)))
+    lam0 = extend_compact_coords(pr, (1, 0, 0, 0))
     values = []
     for digits in (300, 40):
-        spec = build_integrand(pr, ws, Fraction("-10." + "7" * digits), with_multiplicities=True)
+        spec = build_integrand(pr, lam0, Fraction("-10." + "7" * digits))
         values.append(_truncations(spec, DEFAULT_LADDER))
     for long, short in zip(*values):
         assert abs(long - short) <= math.ulp(short), (long, short)
@@ -336,8 +351,7 @@ def test_a_lambda_past_the_digit_budget_skips_the_ladder(digits, capsys):
 
 def test_a_lambda_of_a_hundred_places_runs_its_ladder():
     pr = pair_by_label("su33")
-    ws = weight_system(pr, extend_compact_coords(pr, (1, 0, 0, 0)))
-    spec = build_integrand(pr, ws, Fraction("-10." + "7" * 100), with_multiplicities=True)
+    spec = build_integrand(pr, extend_compact_coords(pr, (1, 0, 0, 0)), Fraction("-10." + "7" * 100))
     rep = classify_convergence(spec)
     assert rep.note is None and len(rep.truncated_values) == len(DEFAULT_LADDER)
     assert rep.empirical_classification == "convergent"
@@ -372,7 +386,7 @@ def test_a_rung_above_the_full_integral_is_lost_precision(capsys):
     assert "empirical classification: convergent" in out and "not-run" not in out
     # the guard itself: a full integral below the rungs refuses the ladder
     pr = pair_by_label("su11")
-    spec = build_integrand(pr, weight_system(pr, _zero(pr)), -1000000)
+    spec = build_integrand(pr, _zero(pr), -1000000)
     rep = classify_convergence(spec, full=0.5 * float(full))
     assert rep.empirical_classification == "not-run"
     assert rep.note.startswith("inconsistent eps ladder: truncated values 5e-07, 5e-07, "
@@ -411,7 +425,7 @@ def test_simplex_equals_symmetrized_cube():
     for label, lam in (("su22", -5), ("su22", -4.5), ("su23", -6), ("sostar8", -8)):
         pr = pair_by_label(label)
         rd = restricted_root_data(pr)
-        spec = build_integrand(pr, weight_system(pr, _zero(pr)), lam)
+        spec = build_integrand(pr, _zero(pr), lam)
         for eps, val in zip(DEFAULT_LADDER, _truncations(spec, DEFAULT_LADDER)):
             oracle = _cube_integral_oracle(spec.exponents[0], rd.a, rd.b, eps)
             assert val == pytest.approx(oracle, rel=1e-8), (label, lam, eps)
@@ -488,8 +502,7 @@ def test_lost_precision_falls_back_to_analytic():
     # su(3,3) at lambda = 0 once cancelled to a negative rung in the sweep;
     # the exact ladder runs, grows and reads what the criterion says
     pr = pair_by_label("su33")
-    ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(build_integrand(pr, ws, 0))
+    rep = classify_convergence(build_integrand(pr, _zero(pr), 0))
     assert not _exists(pr, _zero(pr), 0)
     assert rep.empirical_classification == "divergent" and rep.note is None
     values = [v for _, v in rep.truncated_values]
@@ -501,7 +514,7 @@ def test_falling_ladder_is_lost_precision():
     # sweep's ladder fell at the last rung (1.08e-05 -> 8.59e-06), and its last
     # increment was negative.  The exact rungs grow like eps^(-1/2)
     pr = pair_by_label("e7vii")
-    spec = build_integrand(pr, weight_system(pr, _zero(pr)), Fraction(-33, 2))
+    spec = build_integrand(pr, _zero(pr), Fraction(-33, 2))
     rep = classify_convergence(spec)
     assert min(min(row) for row in spec.exponents) == Fraction(-3, 2)
     assert not _exists(pr, _zero(pr), Fraction(-33, 2))
@@ -527,8 +540,7 @@ def test_shared_sweep_matches_one_sweep_per_eps(label, lam0, lam):
     # a ladder evaluates one table at every eps, each at the precision its
     # own cancellation asks for: a rung does not depend on its companions
     pr = pair_by_label(label)
-    ws = weight_system(pr, extend_compact_coords(pr, lam0))
-    spec = build_integrand(pr, ws, lam, with_multiplicities=True)
+    spec = build_integrand(pr, extend_compact_coords(pr, lam0), lam)
     ladder = (1e-2, 1e-3, 1e-4, 1e-5)
     shared = _truncations(spec, ladder)
     for e, value in zip(ladder, shared):
@@ -542,8 +554,7 @@ def test_cancelling_sp4_ladder_still_reads_divergent():
     # the exact rungs grow without cancelling
     pr = pair_by_label("sp4")
     lam0 = extend_compact_coords(pr, (1, 1, 1))
-    ws = weight_system(pr, lam0)
-    rep = classify_convergence(build_integrand(pr, ws, 0), DEFAULT_LADDER)
+    rep = classify_convergence(build_integrand(pr, lam0, 0), DEFAULT_LADDER)
     assert rep.empirical_classification == "divergent" and rep.note is None
     values = [v for _, v in rep.truncated_values]
     assert all(0 < a < b for a, b in zip(values, values[1:]))
@@ -567,8 +578,7 @@ def test_lambda_zero_divergent_for_every_pair():
 
     for pr in catalog():
         rd = restricted_root_data(pr)
-        ws = weight_system(pr, _zero(pr))
-        spec = build_integrand(pr, ws, 0)
+        spec = build_integrand(pr, _zero(pr), 0)
         assert min(min(row) for row in spec.exponents) == -rd.p
         assert rd.p >= 2
 
@@ -576,8 +586,7 @@ def test_lambda_zero_divergent_for_every_pair():
 def test_rank_four_quadrature():
     # the largest rank the tensor grids allow; su(4,4) has 729 monomials
     pr = pair_by_label("su44")
-    ws = weight_system(pr, extend_compact_coords(pr, [0] * 6))
-    rep = classify_convergence(build_integrand(pr, ws, -7.5))
+    rep = classify_convergence(build_integrand(pr, extend_compact_coords(pr, [0] * 6), -7.5))
     assert rep.empirical_classification == "convergent"
     # the leading exponent is the distance to the threshold (-7)
     assert (rep.leading_exponent, rep.leading_log_power) == (Fraction(1, 2), 0)
@@ -585,8 +594,7 @@ def test_rank_four_quadrature():
 
 def test_rank_cap_analytic_only():
     pr = pair_by_label("sp5")  # r = 5 > quadrature cap
-    ws = weight_system(pr, _zero(pr))
-    rep = classify_convergence(build_integrand(pr, ws, -20))
+    rep = classify_convergence(build_integrand(pr, _zero(pr), -20))
     assert _exists(pr, _zero(pr), -20)
     assert rep.truncated_values == ()
     assert rep.empirical_classification == "not-run"
@@ -601,7 +609,7 @@ def test_rank_cap_stops_the_bisection_before_any_probe(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("weights enumerated or a probe run")
 
-    monkeypatch.setattr(integral, "weight_system", refuse)
+    monkeypatch.setattr(integral, "weight_multiplicities", refuse)
     monkeypatch.setattr(integral, "classify_convergence", refuse)
     pr = pair_by_label("sp5")
     refusal = rf"^eps ladder not run: rank above quadrature cap \({MAX_QUADRATURE_RANK}\)$"
@@ -616,7 +624,7 @@ def test_threshold_above_the_trace_budget_is_refused(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("weights enumerated")
 
-    monkeypatch.setattr(integral, "weight_system", refuse)
+    monkeypatch.setattr(integral, "weight_multiplicities", refuse)
     pr = pair_by_label("su22")
     over = rf"dim tau 10001 above the trace budget \({MAX_TRACE_DIM}\)"
     with pytest.raises(ConfigurationError, match=over):
@@ -758,11 +766,10 @@ def test_leading_term_is_the_distance_to_the_threshold():
     # at it with delta^0 ln delta: 318 exact equalities
     cases = 0
     for pr, lam0 in _rank_four_cases():
-        ws = weight_system(pr, lam0)
         thr = hc_threshold(pr, lam0)
         for off, term in ((Fraction(1, 100), (Fraction(1, 100), 0)),
                           (Fraction(7, 3), (Fraction(7, 3), 0)), (0, (0, 1))):
-            rep = classify_convergence(build_integrand(pr, ws, thr - off))
+            rep = classify_convergence(build_integrand(pr, lam0, thr - off))
             assert (rep.leading_exponent, rep.leading_log_power) == term, (pr.label, lam0, off)
             assert type(rep.leading_exponent) is Fraction
             cases += 1

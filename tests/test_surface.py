@@ -87,7 +87,7 @@ def _records():
     pr = pair_by_label("su22")
     inp = HighestWeightInput(pr, extend_compact_coords(pr, (1, 0)), -9)
     ws = weight_system(pr, inp.lambda0)
-    spec = build_integrand(pr, ws, inp.lam)
+    spec = build_integrand(pr, inp.lambda0, inp.lam)
     g = matrixmodel.identity_element(2, 2)
     return [pr.cartan_type, pr, partition_roots(pr), strongly_orthogonal_cascade(pr),
             restricted_root_data(pr), verify_rho_identities(pr), inp, hc_condition(inp),

@@ -127,7 +127,7 @@ def test_weight_system_walks_each_string_about_once():
         "from hdt.weights import extend_compact_coords, weight_multiplicities, weight_system\n"
         "pr = pair_by_label('su22')\n"
         "ws = weight_system(pr, extend_compact_coords(pr, [20000, 0]))\n"
-        "print(len(ws.weights), sum(weight_multiplicities(ws).values()))\n"
+        "print(len(ws.weights), sum(weight_multiplicities(pr, ws.highest).values()))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=20)
@@ -181,7 +181,7 @@ def test_freudenthal_a2_adjoint_zero_weight():
     zeros = [mu for mu in ws.weights if mu[1] == 0 and mu[2] == 0]
     assert len(zeros) == 1
     assert freudenthal_multiplicity(ws, zeros[0]) == 2
-    mults = weight_multiplicities(ws)
+    mults = weight_multiplicities(pr, lam0)
     assert sum(mults.values()) == 8
 
 
@@ -198,9 +198,8 @@ def test_multiplicities_sum_to_weyl_dimension(label, lam0, dim):
     # cross-oracle: recursive multiplicities against the dimension formula
     pr = pair_by_label(label)
     full = extend_compact_coords(pr, lam0)
-    ws = weight_system(pr, full)
     assert weyl_dimension(pr, full) == dim
-    assert sum(weight_multiplicities(ws).values()) == dim
+    assert sum(weight_multiplicities(pr, full).values()) == dim
 
 
 def reference_multiplicities(ws):
@@ -261,7 +260,9 @@ def test_multiplicities_match_the_per_weight_recursion(label):
     pr = pair_by_label(label)
     for lam0 in _oracle_lambda0s(pr):
         ws = weight_system(pr, lam0)
-        mults = weight_multiplicities(ws)
+        mults = weight_multiplicities(pr, lam0)
+        # the saturated support is the oracle for the orbits' support
+        assert mults.keys() == set(ws.weights), lam0
         assert mults == reference_multiplicities(ws), lam0
         assert sum(mults.values()) == weyl_dimension(pr, lam0), lam0
 
@@ -273,7 +274,7 @@ def test_multiplicities_of_su44_twos():
         "from hdt.weights import extend_compact_coords, weight_multiplicities, weight_system\n"
         "pr = pair_by_label('su44')\n"
         "ws = weight_system(pr, extend_compact_coords(pr, [2] * 6))\n"
-        "print(len(ws.weights), sum(weight_multiplicities(ws).values()))\n"
+        "print(len(ws.weights), sum(weight_multiplicities(pr, ws.highest).values()))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=20)
@@ -281,17 +282,18 @@ def test_multiplicities_of_su44_twos():
     assert res.stdout == "40401 531441\n"
 
 
-@pytest.mark.parametrize("corrupt", ["weight-dropped", "weight-added"])
-def test_multiplicities_refuse_a_wrong_support(corrupt):
-    # the orbits of the dominant weights must make up the support exactly
+@pytest.mark.parametrize("off", [-1, 1], ids=["dimension-minus-one", "dimension-plus-one"])
+def test_multiplicities_refuse_a_wrong_weyl_dimension(monkeypatch, off):
+    # the multiplicities must sum to the Weyl dimension: an off-by-one closed
+    # form is refused, on an input the cache has not seen
+    import hdt.weights
+
+    weyl = hdt.weights.weyl_dimension
+    monkeypatch.setattr(hdt.weights, "weyl_dimension", lambda pr, lam0: weyl(pr, lam0) + off)
+    weight_multiplicities.cache_clear()
     pr = pair_by_label("su13")
-    ws = weight_system(pr, extend_compact_coords(pr, [1, 1]))
-    if corrupt == "weight-dropped":  # the lowest weight, which is not dominant
-        bad = ws._replace(weights=ws.weights[:-1])
-    else:
-        bad = ws._replace(weights=ws.weights + (tuple(c + 1 for c in ws.highest),))
-    with pytest.raises(StructuralError, match="orbits"):
-        weight_multiplicities(bad)
+    with pytest.raises(StructuralError, match="not the Weyl dimension"):
+        weight_multiplicities(pr, extend_compact_coords(pr, [1, 1]))
 
 
 def test_structure_integers_are_ints():
