@@ -169,8 +169,9 @@ def weight_multiplicities(pair: HermitianPair, lambda0: Weight) -> dict[Weight, 
                 dominant[nu] = tuple(map(add, dominant[mu], a))
                 todo.append(nu)
     mults: dict[Weight, int] = {lam: 1}
-    tails: dict[tuple[Weight, Weight], int] = {}  # (dominant w, alpha) -> T(w + alpha, alpha)
-    for nu in sorted(dominant, key=lambda mu: sum(dominant[mu])):
+    # (dominant w, alpha) -> T(w + alpha, alpha); no lam + alpha is a weight
+    tails = {(lam, aw): 0 for aw, _, _, _ in alphas}
+    for nu in sorted(dominant, key=lambda mu: sum(dominant[mu]))[1:]:  # lam first
         for aw, _, coroot, _ in alphas:
             # (nu + alpha, alpha) moved by simple reflections to (w, beta), w
             # dominant: w(beta^vee) = nu(alpha^vee) + 2 > 0 makes beta positive
@@ -181,8 +182,6 @@ def weight_multiplicities(pair: HermitianPair, lambda0: Weight) -> dict[Weight, 
                 beta = tuple(m - d * ri for m, ri in zip(beta, rows[i]))
             tails[nu, aw] = (mults[w] * (sum(map(mul, nu, coroot)) + 2) + tails[w, beta]
                              if w in mults else 0)
-        if nu == lam:
-            continue
         rhs = sum(nsq2 * tails[nu, aw] for aw, _, _, nsq2 in alphas)
         x = (a + b + c for a, b, c in zip(lam, nu, two_rho_c))
         denom = sum(ni * xi * di for ni, xi, di in zip(dominant[nu], x, diag))
