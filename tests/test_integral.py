@@ -40,6 +40,7 @@ from hdt.weights import (
     weight_multiplicities,
     weight_on_coroot,
     weight_system,
+    weyl_dimension,
 )
 
 
@@ -275,6 +276,19 @@ def test_limit_is_the_closed_form():
     assert cases == 73
 
 
+def test_limit_of_su44_twos_is_the_closed_form():
+    # dim tau = 3^12, past the trace budget of the command line, with 1 289
+    # exponent rows: the factor-by-factor product keeps its table small
+    pr = pair_by_label("su44")
+    lam0 = extend_compact_coords(pr, [2] * 6)
+    assert weyl_dimension(pr, lam0) > MAX_TRACE_DIM
+    spec = build_integrand(pr, lam0, -22)
+    assert len(spec.exponents) == 1289
+    table, q, _ = _ladder_table(spec)
+    exact = closed_form_integral(pr, lam0, -22)
+    assert abs(table[0, 0] / q - exact) <= 1e-13 * exact
+
+
 def test_rungs_do_not_move_with_twenty_more_digits(monkeypatch):
     # each rung keeps 20 significant digits after its cancellation; at 40 it
     # rounds to the same double (or, at a rounding tie, its neighbour)
@@ -487,6 +501,47 @@ def test_monomial_expansion_small_cases():
     assert _p_monomials(1, 0, 2) == ((1, -2, 1), ((0,), (1,), (2,)))
 
 
+def _expanded_first_level(spec, expand):
+    """The ladder's first level the direct way, as the oracle for the
+    factor-by-factor product: every row times every monomial of the expanded
+    restricted-root polynomial, summed per exponent tuple (scaled by D, the
+    lcm of the denominators).  It is returned as a spec with a = b = 0, whose
+    ladder table integrates exactly these terms."""
+    coeffs, powers = expand(spec.r, spec.a, spec.b)
+    rows = [[e.as_integer_ratio() for e in row] for row in spec.exponents]
+    big_d = math.lcm(*(den for row in rows for _, den in row))
+    level: dict[tuple, int] = {}
+    for mult, row in zip(spec.multiplicities, rows):
+        shift = [num * (big_d // den) for num, den in row]
+        for c, p in zip(coeffs, powers):
+            key = tuple(s + big_d * m for s, m in zip(shift, p))
+            level[key] = level.get(key, 0) + mult * c
+    terms = {key: n for key, n in level.items() if n}
+    exponents = tuple(tuple(Fraction(e, big_d) for e in key) for key in terms)
+    return IntegralSpec(spec.r, 0, 0, exponents, tuple(terms.values()))
+
+
+def test_factor_by_factor_product_is_the_expanded_one(monkeypatch):
+    # 318 specs on the rank <= 4 cases and one lambda of 7 decimal places;
+    # the ladder must not expand the polynomial at all
+    import hdt.integral as integral
+
+    expand = integral._p_monomials
+
+    def refused(*args):
+        raise AssertionError("the ladder expanded the restricted-root polynomial")
+
+    monkeypatch.setattr(integral, "_p_monomials", refused)
+    specs = [build_integrand(pr, lam0, hc_threshold(pr, lam0) - off)
+             for pr, lam0 in _rank_four_cases() for off in (3, Fraction(7, 3), 0)]
+    pr = pair_by_label("e7vii")
+    specs.append(build_integrand(pr, extend_compact_coords(pr, (1, 0, 0, 0, 0, 1)),
+                                 Fraction("-12.3456789")))
+    assert len(specs) == 319
+    for spec in specs:
+        assert _ladder_table(spec) == _ladder_table(_expanded_first_level(spec, expand)), spec
+
+
 def test_overflow_signalled():
     # (delta^-39 - 1) / 78 at delta = 2e-10 is about 2e376
     with pytest.raises(IntegralOverflowError, match="beyond the double range"):
@@ -687,6 +742,20 @@ def test_threshold_probe_budget(monkeypatch):
         lam0 = extend_compact_coords(pr, coords)
         assert empirical_threshold(pr, lam0) == float(hc_threshold(pr, lam0))
     assert len(probes) <= 20
+
+
+def test_threshold_pairs_the_weights_with_the_coroots_once(monkeypatch):
+    # lambda only shifts every column of the exponent table, so the search's
+    # probes share one pairing of the weights with the cascade coroots
+    import hdt.integral as integral
+
+    probes = _counting_probes(monkeypatch)
+    integral._coroot_rows.cache_clear()
+    pr = pair_by_label("sp4")
+    assert empirical_threshold(pr, extend_compact_coords(pr, (1, 1, 1))) == -7.0
+    info = integral._coroot_rows.cache_info()
+    assert (info.misses, info.hits) == (1, len(probes) - 1)
+    assert len(probes) == 3
 
 
 def _bisection_probes(convergent, tol: float) -> int:
