@@ -10,13 +10,12 @@ decides it again from the integral alone: the ladder's table is the truncated
 integral's whole expansion, and its leading singular term is the exact
 verdict and the exact step of the threshold search.  A convergent integral's
 value is Harish-Chandra's formal-degree product, in closed form.
-The ladder is exact: in v = 1 - x^2 the integrand is the rows' powers
-v_j^E_j times the restricted-root polynomial, multiplied in one factor at a
-time on integer-coded exponents, where the rows' symmetry cancels it to a
-few monomials; the nested one-variable integrals of v^P (ln v)^k have
-closed forms, so a whole ladder is one table of integer coefficients of
-delta^P (ln delta)^k, delta = 1 - (1-eps)^2, built once and evaluated
-at each rung in `decimal` to 20 significant digits, however much the sum
+The ladder is exact: in v = 1 - x^2 the rows' powers v_j^E_j are multiplied
+into the restricted-root polynomial factor by factor, on integer-coded
+exponents, and the nested one-variable integrals of v^P (ln v)^k have closed
+forms, so a whole ladder is one table of integer coefficients of
+delta^P (ln delta)^k, delta = 1 - (1-eps)^2, built once and evaluated at
+each rung in `decimal` to 20 significant digits, however much the sum
 cancels.  The module uses the standard library alone.
 """
 
@@ -148,18 +147,18 @@ def _ladder_table(spec: IntegralSpec) -> tuple[dict[tuple[int, int], int], int, 
     sum of (n / q) delta^(P/D) (ln delta)^k over the table {(P, k): n}.
 
     In v = 1 - x^2 the chamber is delta <= v_r <= ... <= v_1 <= 1 and the
-    integrand is 2^-r sum_rows mult prod_j v_j^E_j times the restricted-root
-    polynomial, which the row sum multiplies one factor at a time, zero
-    coefficients dropped after each.  A built integrand's rows are symmetric
-    in the coordinates (the compact Weyl group permutes the cascade), so the
-    product is alternating, as in Weyl's character formula, and cancels to
-    a few terms: r! per alternant for a = 1; for su(4,4) at Lambda0 =
-    (2,...,2), 1 289 rows, at most 1 641 terms between factors, 201 at the
-    end (rows x monomials: 259 089).  The cost is about the sum of (terms
-    before a factor) x (its a + 1 or b + 1 terms).  A term's exponents are
-    one integer code, digits in a base wider than any coordinate's span, so
-    each term of a factor adds a fixed offset.  Each v_j is then integrated
-    over [v_(j+1), 1] in turn, with the closed forms, for d = P + beta + 1,
+    integrand is 2^-r sum_rows mult prod_j v_j^E_j times prod_j (1-v_j)^b
+    prod_{j<k} (v_j-v_k)^a, multiplied in one factor at a time with zero
+    coefficients dropped.  A built integrand's rows are symmetric in the
+    coordinates (the compact Weyl group permutes the cascade), so the
+    product is alternating, as in Weyl's character formula, and cancels as
+    it goes: su(4,4) at Lambda0 = (2,...,2) goes from 1 289 rows through at
+    most 1 641 terms to 201, where rows x monomials made 259 089.  It costs
+    about the sum of (terms before a factor) x (its a + 1 or b + 1 terms).
+    A term's exponents are one integer code, digits in a base wider than
+    any coordinate's span, so each term of a factor adds a fixed offset.
+    Each v_j is then integrated over [v_(j+1), 1] in turn, with the closed
+    forms, for d = P + beta + 1,
         int_x^1 u^(d-1) (ln u)^k du
             = (-1)^k k!/d^(k+1) (1 - x^d sum_(i<=k) (-d ln x)^i / i!)   (d != 0)
             = -(ln x)^(k+1) / (k+1)                                     (d = 0).
