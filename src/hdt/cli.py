@@ -3,9 +3,9 @@
 Exit codes: 0 success (criterion: exists), 1 verification failure,
 2 usage error, 3 criterion negative, 4 internal error (one line; the
 traceback too when HDT_DEBUG is set), 141 stdout closed by its reader
-(silent; 128 + SIGPIPE).  All numeric report fields print with 12
-significant digits; lambda is parsed as an exact decimal so boundary
-verdicts are deterministic.
+(silent; 128 + SIGPIPE).  The table output prints every float with 12
+significant digits, JSON prints floats in full; lambda is parsed
+as an exact decimal so boundary verdicts are deterministic.
 """
 
 from __future__ import annotations

@@ -1,22 +1,23 @@
 """Truncated convergence integrals over the ordered chamber in the unit cube.
 
-The integrand is a sum over compact-part weights of products
-(1-x_j^2)^E_{s,j} times the restricted-root polynomial P(x), integrated over
+The integrand is a sum over compact-part weights of products (1-x_j^2)^E_{s,j}
+times the restricted-root polynomial P(x), integrated over
 0 <= x_1 <= ... <= x_r <= 1-eps.  It converges iff every E_{s,j} > -1, which
-by the weight bound is the criterion `hc_condition`.  An eps-ladder of
-truncations, run while dim tau is within MAX_TRACE_DIM, the rank within
-MAX_QUADRATURE_RANK and lambda's denominator within 10^MAX_LADDER_DIGITS,
-decides it again from the integral alone: the ladder's table is the truncated
-integral's whole expansion, and its leading singular term is the exact
-verdict and the exact step of the threshold search.  A convergent integral's
-value is Harish-Chandra's formal-degree product, in closed form.
-The ladder is exact: in v = 1 - x^2 the rows' powers v_j^E_j are multiplied
-into the restricted-root polynomial factor by factor, on integer-coded
-exponents, and the nested one-variable integrals of v^P (ln v)^k have closed
-forms, so a whole ladder is one table of integer coefficients of
-delta^P (ln delta)^k, delta = 1 - (1-eps)^2, built once and evaluated at
-each rung in `decimal` to 20 significant digits, however much the sum
-cancels.  The module uses the standard library alone.
+by the weight bound is the criterion `hc_condition`.  lambda enters once:
+E_{s,j} is one exact shift, -lambda - p, less an integer Lambda^s(h_j), as
+Lambda_1(h_j) = 1 on every cascade coroot.  An eps-ladder of truncations, run
+while dim tau is within MAX_TRACE_DIM, the rank within MAX_QUADRATURE_RANK and
+lambda's denominator within 10^MAX_LADDER_DIGITS, decides it again from the
+integral alone: the ladder's table is the truncated integral's whole expansion,
+and its leading singular term is the exact verdict and the exact step of the
+threshold search.  A convergent integral's value is Harish-Chandra's
+formal-degree product, in closed form.  The ladder is exact: in v = 1 - x^2
+the rows' powers v_j^E_j are multiplied into the restricted-root polynomial
+factor by factor, on integer-coded exponents, and the nested one-variable
+integrals of v^P (ln v)^k have closed forms, so a whole ladder is one table of
+integer coefficients of delta^P (ln delta)^k, delta = 1 - (1-eps)^2, built
+once and evaluated at each rung in `decimal` to 20 significant digits, however
+much the sum cancels.  The module uses the standard library alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 from .cascade import restricted_root_data, strongly_orthogonal_cascade
 from .criterion import HighestWeightInput, as_exact, hc_condition_original
 from .hermitian import HermitianPair
-from .weights import Weight, lambda_one, weight_multiplicities, weight_on_coroot, weyl_dimension
+from .weights import Weight, weight_multiplicities, weight_on_coroot, weyl_dimension
 
 
 class IntegralOverflowError(ArithmeticError):
@@ -68,8 +69,12 @@ class IntegralSpec(NamedTuple):
     r: int
     a: int
     b: int
-    exponents: tuple[tuple[Fraction | float, ...], ...]  # distinct rows E_{s,j}
+    shift: Fraction  # -lambda - p, the one place lambda enters
+    pairings: tuple[tuple[int, ...], ...]  # distinct rows Lambda^s(h_j), free of lambda
     multiplicities: tuple[int, ...]  # per row, summed over the weights sharing it
+    @property
+    def exponents(self) -> tuple[tuple[Fraction, ...], ...]:  # E_{s,j} = shift - Lambda^s(h_j)
+        return tuple(tuple(self.shift - k for k in row) for row in self.pairings)
 
 
 class ConvergenceReport(NamedTuple):
@@ -163,22 +168,21 @@ def _ladder_table(spec: IntegralSpec) -> tuple[dict[tuple[int, int], int], int, 
             = (-1)^k k!/d^(k+1) (1 - x^d sum_(i<=k) (-d ln x)^i / i!)   (d != 0)
             = -(ln x)^(k+1) / (k+1)                                     (d = 0).
     The map is linear, so the terms that share the exponents still to
-    integrate are merged after every step.  Every exponent is scaled by D,
-    the lcm of their denominators, so that P is an int; the numerators are
-    ints over the one denominator q, with 2^r.  As eps -> 0 a convergent
-    integral tends to n(0, 0) / q.
+    integrate are merged after every step.  Every exponent is the shift less
+    an integer, so scaled by D, the shift's (lambda's) denominator, P is an
+    int; the numerators are ints over the one denominator q, with 2^r.  As
+    eps -> 0 a convergent integral tends to n(0, 0) / q.
     """
     r, a, b = spec.r, spec.a, spec.b
-    rows = [[e.as_integer_ratio() for e in row] for row in spec.exponents]  # exact for floats too
-    big_d = math.lcm(*(den for row in rows for _, den in row))
-    # scaled beta + 1 per coordinate, coded as digits above lo in base radix,
-    # coordinate 1 lowest, wide enough for every power the factors add
-    shifts = [[num * (big_d // den) + big_d for num, den in row] for row in rows]
-    lo = min(map(min, shifts), default=0)
-    radix = max(map(max, shifts), default=0) - lo + big_d * (b + a * (r - 1)) + 1
+    num, big_d = spec.shift.as_integer_ratio()
+    # beta + 1 = num + D (1 - k) scaled, per pairing k, coded as digits above the lowest
+    # in base radix, coordinate 1 lowest, wide enough for every power the factors add
+    k_lo, k_hi = min(map(min, spec.pairings), default=0), max(map(max, spec.pairings), default=0)
+    lo = num + big_d * (1 - k_hi)
+    radix = big_d * (k_hi - k_lo + b + a * (r - 1)) + 1
     level: dict[int, int] = {}
-    for mult, shift in zip(spec.multiplicities, shifts):
-        code = sum((s - lo) * radix ** j for j, s in enumerate(shift))
+    for mult, row in zip(spec.multiplicities, spec.pairings):
+        code = sum(big_d * (k_hi - k) * radix ** j for j, k in enumerate(row))
         level[code] = level.get(code, 0) + mult
     for offsets in _p_offsets(r, a, b, big_d, radix):
         product: dict[int, int] = {}
@@ -250,11 +254,11 @@ def _rung(table: dict[tuple[int, int], int], q: int, big_d: int, eps: float) -> 
     """The table at one eps, to _RUNG_DIGITS significant digits.
 
     delta^(P/D) is delta^m delta^(s/D) with P = mD + s, 0 <= s < D: an
-    integer power, and one exp per residue s (every exponent of a built
-    integrand has lambda's fractional part, so its table has at most r + 1
-    residues).  The working precision is _RUNG_DIGITS plus the digits the
-    sum cancels, estimated in doubles, plus guard digits for the integer
-    powers; it rises until the sum shows that it sufficed.
+    integer power, and one exp per residue s (every exponent is the spec's
+    shift less an integer, so all have lambda's fractional part and a table
+    has at most r + 1 residues).  The working precision is _RUNG_DIGITS plus
+    the digits the sum cancels, estimated in doubles, plus guard digits for
+    the integer powers; it rises until the sum shows that it sufficed.
     """
     beyond = IntegralOverflowError(f"truncated value at eps = {eps} beyond the double range")
     ln_f = math.log(eps * (2.0 - eps))
@@ -321,10 +325,12 @@ def _truncations(spec: IntegralSpec, eps_values: tuple[float, ...]) -> list[floa
 def integrate(spec: IntegralSpec, eps: float) -> float:
     """The integral truncated at 1 - eps."""
     return _truncations(spec, (eps,))[0]
+
+
 # -- integrand construction --------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # `verify exact` uses 79 (pair, Lambda_0)
 def _coroot_rows(pair: HermitianPair, lambda0: Weight) -> tuple[tuple, tuple[int, ...]]:
     """The lambda-free half of `build_integrand`: the distinct rows
     Lambda^s(h_j) of the weights of tau_lambda0 on the cascade coroots, in
@@ -340,18 +346,12 @@ def _coroot_rows(pair: HermitianPair, lambda0: Weight) -> tuple[tuple, tuple[int
 
 def build_integrand(pair: HermitianPair, lambda0: Weight, lam) -> IntegralSpec:
     """Exponent table E_{s,j} = -(Lambda^s + lambda Lambda_1)(h_j) - p over
-    the weights Lambda^s of tau_lambda0, from `_coroot_rows`.
-
-    One exact row per distinct E_{s,j}; its multiplicity sums the weight
-    multiplicities over the weights that share it.  Rows keep the order of
-    first occurrence.  lambda only shifts each column.
-    """
-    rd, lam1, lam_exact = restricted_root_data(pair), lambda_one(pair), as_exact(lam)
-    shift = [-lam_exact * weight_on_coroot(pair.root_system, lam1, g) - rd.p
-             for g in strongly_orthogonal_cascade(pair).gammas]
-    pairings, mults = _coroot_rows(pair, lambda0)
-    exponents = tuple(tuple(s - m for s, m in zip(shift, k)) for k in pairings)
-    return IntegralSpec(rd.r, rd.a, rd.b, exponents, mults)
+    the weights Lambda^s of tau_lambda0.  Lambda_1(h_j) = 1 on every cascade
+    coroot, so E_{s,j} = shift - Lambda^s(h_j): every exponent has the
+    fractional part of the one exact shift -lambda - p, and the pairings and
+    multiplicities are `_coroot_rows`' cached tuples, the same for every lambda."""
+    rd = restricted_root_data(pair)
+    return IntegralSpec(rd.r, rd.a, rd.b, -as_exact(lam) - rd.p, *_coroot_rows(pair, lambda0))
 
 
 # -- classification -----------------------------------------------------------
@@ -400,13 +400,12 @@ def classify_convergence(spec: IntegralSpec, eps_ladder: tuple[float, ...] = DEF
     display and as checks.  Above the rank cap, or when a rung leaves the
     double range, is not positive, falls as eps shrinks or rises above `full`
     (the full integral, when known), the report is "not-run" and the note
-    says why, as it is when D, the exponents' common denominator, exceeds
+    says why, as it is when D, the shift's (lambda's) denominator, exceeds
     10^MAX_LADDER_DIGITS.
     """
     if spec.r > MAX_QUADRATURE_RANK:
         return not_run(_RANK_CAP)
-    big_d = math.lcm(*(e.as_integer_ratio()[1] for row in spec.exponents for e in row))
-    if big_d > 10 ** MAX_LADDER_DIGITS:
+    if (big_d := spec.shift.denominator) > 10 ** MAX_LADDER_DIGITS:
         return not_run(f"exponent denominator D of {Decimal(big_d).adjusted() + 1} digits "
                        f"above the ladder's budget (10^{MAX_LADDER_DIGITS})")
     ladder = tuple(sorted(eps_ladder, reverse=True))

@@ -89,7 +89,7 @@ def _validate_lambda0(pair: HermitianPair, lambda0) -> Weight:
     return tuple(int(c) for c in lambda0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # `verify exact` uses 79 (pair, Lambda_0)
 def weight_system(pair: HermitianPair, lambda0: Weight) -> KssWeightSystem:
     """Weight support of the compact-part irreducible with highest weight lambda0.
 
@@ -133,7 +133,7 @@ def _compact_roots(pair: HermitianPair) -> tuple[Weight, tuple]:
             tuple((rs.weight_coords(a), a, rs.coroot(a), rs.inner2(a, a)) for a in compact_pos))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # `verify exact` uses 79 (pair, Lambda_0)
 def weight_multiplicities(pair: HermitianPair, lambda0: Weight) -> dict[Weight, int]:
     """Multiplicity of every weight of the compact-part irreducible with
     highest weight lambda0, from lambda0 alone.
@@ -213,6 +213,7 @@ def freudenthal_multiplicity(ws: KssWeightSystem, mu: Weight) -> int:
 def weyl_dimension(pair: HermitianPair, lambda0: Weight) -> int:
     # dim tau_lambda0 = prod (lam + rho_c | alpha) / (rho_c | alpha) over the
     # compact positive roots, each ratio read on alpha^vee; no weight is built
+    lambda0 = _validate_lambda0(pair, lambda0)  # a ValueError, not a failed theorem
     two_rho_c, alphas = _compact_roots(pair)
     shifted = tuple(2 * c + t for c, t in zip(lambda0, two_rho_c))
     num = den = 1

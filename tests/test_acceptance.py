@@ -119,7 +119,8 @@ def test_acceptance_5_quadrature_closed_form():
     t0 = time.monotonic()
     worst = 0.0
     for lam in (-1.5, -2.0, -3.0, -5.0):
-        spec = IntegralSpec(r=1, a=0, b=0, exponents=((-lam - 2.0,),), multiplicities=(1,))
+        spec = IntegralSpec(r=1, a=0, b=0, shift=-Fraction(lam) - 2, pairings=((0,),),
+                            multiplicities=(1,))
         val = integrate(spec, 1e-14)
         exact = 1.0 / (2.0 * (-lam - 1.0))
         worst = max(worst, abs(val - exact) / exact)

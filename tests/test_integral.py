@@ -50,20 +50,20 @@ def _zero(pair):
 
 def _unit_weight_spec(pair, weights, lam):
     """The integrand over the given weights, each counted once: the oracle
-    for a trace without multiplicities, E_{s,j} = -(Lambda^s + lambda
-    Lambda_1)(h_j) - p from the saturated support."""
+    for a trace without multiplicities, E_{s,j} = -lambda - p - Lambda^s(h_j)
+    from the saturated support."""
     rs, rd = pair.root_system, restricted_root_data(pair)
     gammas = strongly_orthogonal_cascade(pair).gammas
-    shift = [-Fraction(lam) * weight_on_coroot(rs, lambda_one(pair), g) - rd.p for g in gammas]
     rows: dict[tuple, int] = {}
     for mu in weights:
-        key = tuple(s - weight_on_coroot(rs, mu, g) for s, g in zip(shift, gammas))
+        key = tuple(weight_on_coroot(rs, mu, g) for g in gammas)
         rows[key] = rows.get(key, 0) + 1
-    return IntegralSpec(rd.r, rd.a, rd.b, tuple(rows), tuple(rows.values()))
+    return IntegralSpec(rd.r, rd.a, rd.b, -Fraction(lam) - rd.p, tuple(rows), tuple(rows.values()))
 
 
 def _spec_r1(exponent, b=0):
-    return IntegralSpec(r=1, a=0, b=b, exponents=((float(exponent),),), multiplicities=(1,))
+    return IntegralSpec(r=1, a=0, b=b, shift=Fraction(exponent), pairings=((0,),),
+                        multiplicities=(1,))
 
 
 def beta_fn(x, y):
@@ -504,21 +504,18 @@ def test_monomial_expansion_small_cases():
 def _expanded_first_level(spec, expand):
     """The ladder's first level the direct way, as the oracle for the
     factor-by-factor product: every row times every monomial of the expanded
-    restricted-root polynomial, summed per exponent tuple (scaled by D, the
-    lcm of the denominators).  It is returned as a spec with a = b = 0, whose
-    ladder table integrates exactly these terms."""
+    restricted-root polynomial, summed per exponent tuple.  A monomial's
+    power m adds m to an exponent shift - k, so the term's pairing is k - m.
+    It is returned as a spec with a = b = 0 and the same shift, whose ladder
+    table integrates exactly these terms."""
     coeffs, powers = expand(spec.r, spec.a, spec.b)
-    rows = [[e.as_integer_ratio() for e in row] for row in spec.exponents]
-    big_d = math.lcm(*(den for row in rows for _, den in row))
     level: dict[tuple, int] = {}
-    for mult, row in zip(spec.multiplicities, rows):
-        shift = [num * (big_d // den) for num, den in row]
+    for mult, row in zip(spec.multiplicities, spec.pairings):
         for c, p in zip(coeffs, powers):
-            key = tuple(s + big_d * m for s, m in zip(shift, p))
+            key = tuple(k - m for k, m in zip(row, p))
             level[key] = level.get(key, 0) + mult * c
     terms = {key: n for key, n in level.items() if n}
-    exponents = tuple(tuple(Fraction(e, big_d) for e in key) for key in terms)
-    return IntegralSpec(spec.r, 0, 0, exponents, tuple(terms.values()))
+    return IntegralSpec(spec.r, 0, 0, spec.shift, tuple(terms), tuple(terms.values()))
 
 
 def test_factor_by_factor_product_is_the_expanded_one(monkeypatch):
@@ -639,7 +636,7 @@ def test_lambda_zero_divergent_for_every_pair():
 
 
 def test_rank_four_quadrature():
-    # the largest rank the tensor grids allow; su(4,4) has 729 monomials
+    # the largest rank the ladder runs at (MAX_QUADRATURE_RANK)
     pr = pair_by_label("su44")
     rep = classify_convergence(build_integrand(pr, extend_compact_coords(pr, [0] * 6), -7.5))
     assert rep.empirical_classification == "convergent"
@@ -745,8 +742,8 @@ def test_threshold_probe_budget(monkeypatch):
 
 
 def test_threshold_pairs_the_weights_with_the_coroots_once(monkeypatch):
-    # lambda only shifts every column of the exponent table, so the search's
-    # probes share one pairing of the weights with the cascade coroots
+    # lambda only moves the spec's one shift, so the search's probes share
+    # one pairing of the weights with the cascade coroots, the same object
     import hdt.integral as integral
 
     probes = _counting_probes(monkeypatch)
@@ -756,6 +753,31 @@ def test_threshold_pairs_the_weights_with_the_coroots_once(monkeypatch):
     info = integral._coroot_rows.cache_info()
     assert (info.misses, info.hits) == (1, len(probes) - 1)
     assert len(probes) == 3
+    assert all(spec.pairings is probes[0].pairings for spec in probes[1:])
+    # the oracle pairs Lambda_1 with each cascade coroot, and so checks that
+    # lambda's coefficient in every exponent is -1
+    lam, cases = Fraction("-12.3456789"), 0
+    for pr, lam0 in _rank_four_cases():
+        rs, p = pr.root_system, restricted_root_data(pr).p
+        gammas = strongly_orthogonal_cascade(pr).gammas
+        rows: dict[tuple, int] = {}
+        for mu, mult in weight_multiplicities(pr, lam0).items():
+            key = tuple(-weight_on_coroot(rs, mu, g) - lam * weight_on_coroot(rs, lambda_one(pr), g)
+                        - p for g in gammas)
+            rows[key] = rows.get(key, 0) + mult
+        spec = build_integrand(pr, lam0, lam)
+        assert (spec.exponents, spec.multiplicities) == (tuple(rows), tuple(rows.values()))
+        cases += 1
+    assert cases == 106
+
+
+def test_a_fractional_lambda0_is_refused_before_the_weyl_dimension():
+    # ladder_precheck calls weyl_dimension first; a Lambda0 that is not
+    # integral once raised the failed-theorem StructuralError there
+    pr = pair_by_label("su22")
+    for call in (weyl_dimension, empirical_threshold):
+        with pytest.raises(ValueError, match="lambda0 must be integral, got 0.5 at node 3"):
+            call(pr, (0, 0, 0.5))
 
 
 def _bisection_probes(convergent, tol: float) -> int:

@@ -376,3 +376,25 @@ def test_dominance_orbit_step():
             assert inner_weight_root(rs, lam0, img) <= inner_weight_root(
                 rs, lam0, gammas[-1]
             )
+
+
+def test_no_cache_keyed_by_lambda0_is_unbounded():
+    # a caller may pass any number of Lambda0; each cache keyed by one keeps
+    # at most 256 entries, more than `verify exact` (79) or the threshold
+    # search benchmark (10) uses
+    import importlib
+    import inspect
+    import pkgutil
+
+    import hdt
+
+    bounds = {}
+    for info in pkgutil.iter_modules(hdt.__path__):
+        module = importlib.import_module(f"hdt.{info.name}")
+        for name, fn in vars(module).items():
+            if (getattr(fn, "__module__", None) == module.__name__ and hasattr(fn, "cache_info")
+                    and "lambda0" in inspect.signature(fn).parameters):
+                bounds[f"{info.name}.{name}"] = fn.cache_parameters()["maxsize"]
+    assert {"weights.weight_system", "weights.weight_multiplicities", "integral._coroot_rows",
+            "criterion._trace_certificate"} <= bounds.keys()
+    assert None not in bounds.values(), bounds
